@@ -14,7 +14,7 @@ from .hall import (HallTree, hall_basis, is_basic, mobius, tree_from_str,
 from .lie import LieElement, bracket, lift_word, substitute, tree_to_lie
 from .magnus import (MagnusSeries, induced_lie_map, lie_class_at, magnus,
                      weight_of)
-from .ideals import GradedIdeal, QuotientClass, ideal_extend, quotient_reduce
+from .ideals import GradedIdeal, QuotientClass
 from .surface import SurfaceModel, b_only_part, handlebody_class, surface_class
 from .symplectic import (Lagrangian, adapt_symplectic_basis,
                          eigen_pm1_condition, gram_matrix,

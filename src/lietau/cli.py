@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Output is deterministic for fixed inputs: no timestamps, no randomness.
-Exit status 0 on success, 1 on a domain error (a machine-readable error
-object goes to stderr), 2 on usage errors.
+Exit status 0 on success, 1 on a domain or input error (one machine-readable
+error object goes to stderr), 2 on usage errors.
 """
 
 import argparse
@@ -22,7 +22,7 @@ from .symplectic import (eigen_pm1_condition, invariant_lagrangian_report,
 from .words import Alphabet, surface_alphabet
 
 CONFIG_ENV = "LIETAU_CONFIG"
-_DEFAULTS = {"cap": 8, "height": 2, "format": "table", "verbosity": 0}
+_DEFAULTS = {"cap": 8, "height": 2, "format": "table"}
 
 
 def load_config(path=None):
@@ -142,6 +142,8 @@ def cmd_scan(args, cfg):
 
 
 def cmd_region(args, cfg):
+    if args.kmax < 2 or args.gmax < 2:
+        raise PreconditionError("region needs --kmax and --gmax >= 2")
     fmt = args.format or cfg["format"]
     if fmt == "csv":
         _emit(rhs_csv(args.kmax, args.gmax), end="")
@@ -245,16 +247,17 @@ def main(argv=None):
         cfg = load_config(args.config)
         return args.fn(args, cfg)
     except LietauError as e:
-        sys.stderr.write(serialize.dumps(e.to_json()) + "\n")
-        return 1
+        error = e.to_json()
     except FileNotFoundError as e:
-        sys.stderr.write(serialize.dumps(
-            {"error": "file-not-found", "message": str(e)}) + "\n")
-        return 1
+        error = {"error": "file-not-found", "message": str(e)}
     except json.JSONDecodeError as e:
-        sys.stderr.write(serialize.dumps(
-            {"error": "bad-json", "message": str(e)}) + "\n")
-        return 1
+        error = {"error": "bad-json", "message": str(e)}
+    except OSError as e:
+        error = {"error": "io-error", "message": str(e)}
+    except ValueError as e:
+        error = {"error": "bad-input", "message": str(e)}
+    sys.stderr.write(serialize.dumps(error) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

@@ -82,9 +82,6 @@ class HallTree:
     def __repr__(self):
         return tree_to_str(self)
 
-    def max_leaf(self):
-        return max(self.mdeg)
-
     def x_count(self, g):
         """Number of leaves among the first g letters of the alphabet."""
         return sum(1 for i in self.mdeg if i < g)
@@ -162,12 +159,6 @@ def hall_basis(k, n):
                     out.append(HallTree.make_node(u, v))
     out.sort(key=lambda t: t.key)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def hall_index(k, n):
-    """tree -> position within hall_basis(k, n)."""
-    return {t: i for i, t in enumerate(hall_basis(k, n))}
 
 
 @lru_cache(maxsize=None)

@@ -6,14 +6,18 @@ inductively: generator vectors of weight k together with brackets of the
 weight-(k-1) spanning set against all weight-1 leaves, each new spanning
 vector inheriting the lift [lift, generator].
 
-When every generator is concentrated in a single leaf multidegree the spans
-split into independent multidegree blocks, which keeps the row reduction
-small even at weight 5 on six letters.
+The spans split into independent blocks.  A basic commutator's block is its
+leaf multidegree modulo the lattice spanned by the multidegree differences
+within each generator, so every generator, and every bracket of a spanning
+vector with a leaf, lies in a single block.  For generators that are single
+letters the block is the plain multidegree; for the symplectic class it is
+the torus weight.  This keeps the row reduction small even at weight 6 on six
+letters.
 """
 
 import threading
 
-from .hall import hall_index, basis_block, witt
+from .hall import hall_basis, witt
 from .intlinalg import IntLattice, smith_divisors
 from .lie import LieElement, bracket
 from .words import Word, commutator
@@ -50,13 +54,22 @@ class QuotientClass:
 
 
 class _Level:
-    __slots__ = ("spanning", "lattices", "rank", "torsion")
+    __slots__ = ("spanning", "blocks", "columns", "lattices", "rank", "torsion")
 
     def __init__(self):
         self.spanning = []      # (LieElement, lift Word), an independent set
-        self.lattices = {}      # multidegree signature (or None) -> IntLattice
+        self.blocks = {}        # block key -> its basic commutators, Hall order
+        self.columns = {}       # basic commutator -> (block key, column)
+        self.lattices = {}      # block key -> IntLattice over that block
         self.rank = 0
         self.torsion = ()
+
+
+def _leaf_counts(tree, n):
+    counts = [0] * n
+    for i in tree.mdeg:
+        counts[i] += 1
+    return counts
 
 
 class GradedIdeal:
@@ -74,25 +87,15 @@ class GradedIdeal:
             gens.append((e, lift))
         self.generators = tuple(gens)
         self.min_weight = min(e.weight for e, _ in gens) if gens else 1
-        # one multidegree per generator lets spans split into blocks
-        self.blocked = all(len({t.mdeg for t in e.terms}) == 1 for e, _ in gens)
+        # multidegree differences within each generator; block keys are
+        # multidegrees reduced modulo this lattice
+        self._grading = IntLattice(self.n)
+        for e, _ in gens:
+            first, *rest = (_leaf_counts(t, self.n) for t in e.terms)
+            for counts in rest:
+                self._grading.add([c - f for c, f in zip(counts, first)])
         self._levels = {}
         self._lock = threading.RLock()
-
-    def _sig_of(self, tree):
-        return tree.mdeg if self.blocked else None
-
-    def _block_columns(self, k, sig):
-        if sig is None:
-            return hall_index(k, self.n)
-        return {t: i for i, t in enumerate(basis_block(k, self.n, sig))}
-
-    def _coords(self, k, sig, terms):
-        cols = self._block_columns(k, sig)
-        vec = [0] * len(cols)
-        for t, c in terms:
-            vec[cols[t]] = c
-        return vec
 
     def level(self, k):
         """Build (and cache) the weight-k span; levels build bottom-up."""
@@ -105,6 +108,11 @@ class GradedIdeal:
 
     def _build_level(self, k):
         lv = _Level()
+        for t in hall_basis(k, self.n):
+            key = tuple(self._grading.reduce_mod(_leaf_counts(t, self.n)))
+            block = lv.blocks.setdefault(key, [])
+            lv.columns[t] = key, len(block)
+            block.append(t)
         candidates = [(e, lift) for e, lift in self.generators if e.weight == k]
         if k > 1:
             prev = self._levels.get(k - 1)
@@ -120,7 +128,7 @@ class GradedIdeal:
         for e, lift in candidates:
             # keep exactly the candidates that enlarge the span lattice, so
             # the kept lifts always generate it over the integers
-            if self._insert(lv, k, e, len(lv.spanning)):
+            if self._insert(lv, e, len(lv.spanning)):
                 lv.spanning.append((e, lift))
         lv.rank = sum(lat.rank for lat in lv.lattices.values())
         divisors = []
@@ -129,18 +137,25 @@ class GradedIdeal:
         lv.torsion = tuple(sorted(divisors))
         return lv
 
-    def _insert(self, lv, k, e, tag):
-        by_sig = {}
+    @staticmethod
+    def _split(lv, e):
+        """e's coordinates block by block: {block key: coordinate vector}."""
+        out = {}
         for t, c in e.terms.items():
-            by_sig.setdefault(self._sig_of(t), []).append((t, c))
+            key, i = lv.columns[t]
+            vec = out.get(key)
+            if vec is None:
+                vec = out[key] = [0] * len(lv.blocks[key])
+            vec[i] = c
+        return out
+
+    def _insert(self, lv, e, tag):
         changed = False
-        for sig, terms in by_sig.items():
-            lat = lv.lattices.get(sig)
+        for key, vec in self._split(lv, e).items():
+            lat = lv.lattices.get(key)
             if lat is None:
-                lat = IntLattice(len(self._block_columns(k, sig)), track=True)
-                lv.lattices[sig] = lat
-            if lat.add(self._coords(k, sig, terms), tag):
-                changed = True
+                lat = lv.lattices[key] = IntLattice(len(vec), track=True)
+            changed |= lat.add(vec, tag)
         return changed
 
     def span(self, k):
@@ -157,22 +172,13 @@ class GradedIdeal:
         """Canonical normal form of e modulo the weight-(e.weight) span."""
         k = e.weight
         lv = self.level(k)
-        by_sig = {}
-        for t, c in e.terms.items():
-            by_sig.setdefault(self._sig_of(t), []).append((t, c))
-        out = {}
-        for sig, terms in by_sig.items():
-            lat = lv.lattices.get(sig)
-            if lat is None:
-                out.update(terms)
-                continue
-            cols = self._block_columns(k, sig)
-            back = {i: t for t, i in cols.items()}
-            red = lat.reduce_mod(self._coords(k, sig, terms))
-            for i, c in enumerate(red):
-                if c:
-                    out[back[i]] = c
-        return QuotientClass(k, LieElement(k, out), self.quotient_rank(k),
+        terms = []
+        for key, vec in self._split(lv, e).items():
+            lat = lv.lattices.get(key)
+            if lat is not None:
+                vec = lat.reduce_mod(vec)
+            terms.extend(zip(lv.blocks[key], vec))
+        return QuotientClass(k, LieElement(k, terms), self.quotient_rank(k),
                              lv.torsion)
 
     def solve_in_span(self, e):
@@ -180,34 +186,14 @@ class GradedIdeal:
 
         Returns [(coeff, lift)] or None when e is not in the integer span.
         """
-        k = e.weight
-        lv = self.level(k)
-        by_sig = {}
-        for t, c in e.terms.items():
-            by_sig.setdefault(self._sig_of(t), []).append((t, c))
+        lv = self.level(e.weight)
         acc = {}
-        for sig, terms in by_sig.items():
-            lat = lv.lattices.get(sig)
-            if lat is None:
-                return None
-            combo = lat.member_combo(self._coords(k, sig, terms))
+        for key, vec in self._split(lv, e).items():
+            lat = lv.lattices.get(key)
+            combo = None if lat is None else lat.member_combo(vec)
             if combo is None:
                 return None
             for tag, c in combo.items():
                 acc[tag] = acc.get(tag, 0) + c
-        out = []
-        for tag in sorted(acc):
-            c = acc[tag]
-            if c:
-                out.append((c, lv.spanning[tag][1]))
-        return out
-
-
-def ideal_extend(ideal, k):
-    """Functional alias for GradedIdeal.span."""
-    return ideal.span(k)
-
-
-def quotient_reduce(e, ideal):
-    """Functional alias for GradedIdeal.reduce."""
-    return ideal.reduce(e)
+        return [(acc[tag], lv.spanning[tag][1]) for tag in sorted(acc)
+                if acc[tag]]

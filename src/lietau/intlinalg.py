@@ -277,7 +277,7 @@ def charpoly(mat):
     coeffs = [Fraction(1)]
     mk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = _fmatmul(m, mk)
+        mk = mat_mul(m, mk)
         tr = sum(mk[i][i] for i in range(n))
         c = -tr / k
         coeffs.append(c)
@@ -289,12 +289,6 @@ def charpoly(mat):
             raise AssertionError("non-integer characteristic coefficient")
         out.append(int(c))
     return out
-
-
-def _fmatmul(a, b):
-    n, mdim, p = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(mdim)) for j in range(p)]
-            for i in range(n)]
 
 
 def mat_mul(a, b):

@@ -104,12 +104,6 @@ class LieElement:
             parts.append(("%+d*%r" % (c, t)))
         return " ".join(parts)
 
-    def max_letter(self):
-        m = -1
-        for t in self.terms:
-            m = max(m, t.max_leaf())
-        return m
-
 
 _bracket_memo = {}
 _bracket_lock = threading.Lock()

@@ -8,7 +8,7 @@ them, and the parsers accept both representations.
 import json
 
 from .errors import PreconditionError
-from .hall import tree_from_json, tree_to_json
+from .hall import tree_to_json
 from .johnson import MappingClassData, TauValue
 from .lie import lie_from_json, lie_to_json
 from .surface import SurfaceModel
@@ -127,13 +127,5 @@ def lie_json(e, alphabet=None):
     return lie_to_json(e, alphabet)
 
 
-def parse_lie(obj, alphabet=None):
-    return lie_from_json(obj, alphabet)
-
-
 def tree_json(t, alphabet=None):
     return tree_to_json(t, alphabet)
-
-
-def parse_tree(obj, alphabet=None):
-    return tree_from_json(obj, alphabet)

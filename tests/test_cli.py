@@ -71,6 +71,30 @@ def test_tau_command_boundary_twist(capsys):
     assert data["terms"] == []
 
 
+def test_tau_golden_depth_three_braid(capsys, g3_braids):
+    d = g3_braids["d"].fwd
+    images = {nm: word_to_str(w)
+              for nm, w in zip(d.model.alphabet.names, d.endo.images)}
+    blob = json.dumps({"genus": 3, "images": images})
+    code, out, _ = run(capsys, "tau", "--k", "3", "--map", blob)
+    assert code == 0
+    assert out == (
+        '{"free": false, "k": 3, "terms": [["b1", {"terms": '
+        '[[1, [["b2", "b1"], "b3"]], [1, [["b3", "b1"], "b2"]], '
+        '[1, [["b3", "b2"], "b2"]]], "weight": 3}], ["b2", {"terms": '
+        '[[2, [["b2", "b1"], "b3"]], [-1, [["b3", "b1"], "b1"]], '
+        '[-1, [["b3", "b1"], "b2"]]], "weight": 3}], ["b3", {"terms": '
+        '[[-1, [["b2", "b1"], "b1"]], [-1, [["b2", "b1"], "b2"]]], '
+        '"weight": 3}]]}\n')
+
+
+def test_rank_golden_surface_genus_three(capsys):
+    code, out, _ = run(capsys, "rank", "--genus", "3", "--k", "5")
+    assert code == 0
+    assert out == ('{"genus": 3, "k": 5, "rank": 1344, "ring": "surface", '
+                   '"torsion": []}\n')
+
+
 def test_region_csv_deterministic(capsys):
     code1, out1, _ = run(capsys, "region", "--kmax", "8", "--gmax", "8",
                          "--format", "csv")
@@ -131,6 +155,23 @@ def test_domain_error_exit_code(capsys):
     assert out == ""
     data = json.loads(err)
     assert data["error"] == "relation-violated"
+
+
+@pytest.mark.parametrize("argv", [
+    ["witt", "0", "2"],
+    ["rank", "--k", "0", "--genus", "2"],
+    ["rank", "--k", "3", "--genus", "0"],
+    ["hall", "--k", "3", "--alphabet", "x,x"],
+    ["region", "--kmax", "1"],
+    ["depth", "--map", "."],
+    ["depth", "--map", '{"genus":"x"}'],
+])
+def test_bad_input_is_one_json_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert "error" in json.loads(err)
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,8 +1,9 @@
 import random
 from math import comb
 
-from lietau.hall import witt
-from lietau.ideals import GradedIdeal, ideal_extend, quotient_reduce
+from lietau.hall import hall_basis, mobius, witt
+from lietau.ideals import GradedIdeal
+from lietau.intlinalg import IntLattice
 from lietau.lie import LieElement, bracket, random_like
 from lietau.magnus import lie_class_at
 
@@ -10,7 +11,7 @@ from lietau.magnus import lie_class_at
 def test_symplectic_span_weight_two(model_of):
     m = model_of(2)
     ideal = m.symplectic_ideal()
-    span = ideal_extend(ideal, 2)
+    span = ideal.span(2)
     assert len(span) == 1
     vec, lift = span[0]
     assert vec == m.symplectic_class()
@@ -22,20 +23,20 @@ def test_handlebody_span_weight_one(model_of):
         m = model_of(g)
         ideal = m.handlebody_ideal()
         assert ideal.span_rank(1) == g
-        lifts = [lift for _, lift in ideal_extend(ideal, 1)]
+        lifts = [lift for _, lift in ideal.span(1)]
         assert lifts == [m.a(i + 1) for i in range(g)]
 
 
 def test_span_below_generator_weight_empty(model_of):
     ideal = model_of(2).symplectic_ideal()
     assert ideal.span_rank(1) == 0
-    assert ideal_extend(ideal, 1) == []
+    assert ideal.span(1) == []
 
 
 def test_quotient_reduce_kills_generator(model_of):
     m = model_of(2)
     ideal = m.symplectic_ideal()
-    q = quotient_reduce(m.symplectic_class(), ideal)
+    q = ideal.reduce(m.symplectic_class())
     assert q.is_zero()
     assert q.torsion == ()
 
@@ -64,7 +65,7 @@ def test_reduce_constant_on_cosets(model_of):
     for k in (2, 3, 4):
         e = random_like(k, 4, rng)
         base = ideal.reduce(e)
-        for vec, _ in ideal_extend(ideal, k)[:3]:
+        for vec, _ in ideal.span(k)[:3]:
             assert ideal.reduce(e + vec) == base
             assert ideal.reduce(e + vec.scale(-2)) == base
 
@@ -73,7 +74,7 @@ def test_solve_in_span_reconstructs(model_of):
     m = model_of(2)
     ideal = m.symplectic_ideal()
     rng = random.Random(5)
-    span3 = ideal_extend(ideal, 3)
+    span3 = ideal.span(3)
     target = LieElement.zero(3)
     coeffs = {}
     for i, (vec, _) in enumerate(span3):
@@ -118,7 +119,57 @@ def test_standalone_ideal_over_given_alphabet(model_of):
 
 
 def test_handlebody_rank_weight_six(model_of):
-    # one step past the routine range: the blocked reduction stays exact
+    # one step past the routine range: the block reduction stays exact
     ideal = model_of(3).handlebody_ideal()
     assert ideal.quotient_rank(6) == witt(6, 3)
     assert ideal.level(6).torsion == ()
+
+
+def labute_rank(k, g):
+    """Rank of the weight-k layer of the closed genus-g surface Lie ring:
+    prod (1 - t^k)^(r_k) = 1 - 2g t + t^2 gives r_k by Moebius inversion."""
+    s = [2, 2 * g]
+    while len(s) <= k:
+        s.append(2 * g * s[-1] - s[-2])
+    total = sum(mobius(k // d) * s[d] for d in range(1, k + 1) if k % d == 0)
+    assert total % k == 0
+    return total // k
+
+
+def test_symplectic_ranks_match_labute(model_of):
+    for g in (1, 2, 3):
+        ideal = model_of(g).symplectic_ideal()
+        for k in range(1, 7):
+            assert ideal.quotient_rank(k) == labute_rank(k, g)
+            assert ideal.level(k).torsion == ()
+
+
+def whole_layer_lattice(ideal, k):
+    """One lattice over every weight-k basic commutator, spanned by
+    ideal.span(k), with the map from an element to its coordinates."""
+    basis = hall_basis(k, ideal.n)
+    col = {t: i for i, t in enumerate(basis)}
+
+    def coords(e):
+        row = [0] * len(basis)
+        for t, c in e.terms.items():
+            row[col[t]] = c
+        return row
+
+    lat = IntLattice(len(basis))
+    for vec, _ in ideal.span(k):
+        lat.add(coords(vec))
+    return basis, coords, lat
+
+
+def test_blocks_agree_with_whole_layer(model_of):
+    m = model_of(2)
+    rng = random.Random(17)
+    for ideal in (m.symplectic_ideal(), m.handlebody_ideal()):
+        for k in range(1, 6):
+            basis, coords, lat = whole_layer_lattice(ideal, k)
+            assert lat.rank == ideal.span_rank(k)
+            for _ in range(4):
+                e = random_like(k, 4, rng)
+                expected = LieElement(k, zip(basis, lat.reduce_mod(coords(e))))
+                assert ideal.reduce(e).vector == expected
