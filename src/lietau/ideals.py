@@ -99,6 +99,8 @@ class GradedIdeal:
 
     def level(self, k):
         """Build (and cache) the weight-k span; levels build bottom-up."""
+        if k < 1:
+            raise ValueError("weight must be >= 1")
         with self._lock:
             for kk in range(1, k + 1):
                 if kk in self._levels:
@@ -133,7 +135,10 @@ class GradedIdeal:
         lv.rank = sum(lat.rank for lat in lv.lattices.values())
         divisors = []
         for lat in lv.lattices.values():
-            divisors.extend(d for d in smith_divisors(lat.matrix()) if d != 1)
+            # echelon rows with unit pivots span a direct summand: no torsion
+            if any(row[j] > 1 for row, j in zip(lat.rows, lat.pivots)):
+                divisors.extend(d for d in smith_divisors(lat.matrix())
+                                if d != 1)
         lv.torsion = tuple(sorted(divisors))
         return lv
 

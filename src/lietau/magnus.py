@@ -6,6 +6,14 @@ k-th lower central term the lowest nonvanishing degree is k and that
 component is the word's class in the weight-k layer, re-expressed in the Hall
 basis by an exact integer solve against the associative expansions of basic
 commutators.
+
+A word's expansion is built in one left-to-right pass over its letters,
+keeping the series S of the prefix read so far split by degree.  A letter
++i adds S X_i to S.  A letter -i multiplies S by 1 - X_i + X_i^2 - ..., that
+is adds the sum over j of (-1)^j S X_i^j; by Horner's rule that product is
+the T with T = S - T X_i, filled degree by degree upwards.  Both steps touch
+each term of S below the cap once and drop everything above it, so a letter
+costs O(|S|) and long words never form products of two large series.
 """
 
 from fractions import Fraction
@@ -112,24 +120,28 @@ class MagnusSeries:
         return "MagnusSeries(cap=%d, %s)" % (self.cap, dict(items))
 
 
-def _product(series_list, cap):
-    if not series_list:
-        return MagnusSeries.one(cap)
-    while len(series_list) > 1:
-        nxt = []
-        for i in range(0, len(series_list) - 1, 2):
-            nxt.append(series_list[i] * series_list[i + 1])
-        if len(series_list) % 2:
-            nxt.append(series_list[-1])
-        series_list = nxt
-    return series_list[0]
-
-
 @lru_cache(maxsize=4096)
 def _magnus_cached(w, cap):
-    factors = [MagnusSeries.letter(abs(x) - 1, cap, 1 if x > 0 else -1)
-               for x in w.letters]
-    return _product(factors, cap)
+    s = MagnusSeries.one(cap)
+    by_deg = [s.coeffs] + [{} for _ in range(cap)]
+    for x in w.letters:
+        i = (abs(x) - 1,)
+        # +i: degree d + 1 is read before degree d adds into it (S + S X_i);
+        # -i: degree d is final before it subtracts from d + 1 (S - T X_i)
+        sgn, degrees = ((1, range(cap - 1, -1, -1)) if x > 0
+                        else (-1, range(cap)))
+        for d in degrees:
+            dst = by_deg[d + 1]
+            for m, c in by_deg[d].items():
+                m += i
+                v = dst.get(m, 0) + sgn * c
+                if v:
+                    dst[m] = v
+                else:
+                    del dst[m]
+    for part in by_deg[1:]:
+        s.coeffs.update(part)
+    return s
 
 
 def magnus(w, cap):

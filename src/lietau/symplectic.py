@@ -8,8 +8,6 @@ has Gram matrix J = [[0, I], [-I, 0]].
 
 from fractions import Fraction
 
-from sympy import Poly, symbols
-
 from .errors import (DimensionMismatchError, GenusTooLargeError, InternalFault,
                      NotDirectSummandError, NotIsotropicError, PreconditionError)
 from .intlinalg import (IntLattice, bareiss_det, charpoly, hermite_rows,
@@ -374,6 +372,9 @@ def invariant_lagrangian_search(m, bound=None):
 
 
 def invariant_lagrangian_report(m, bound=None):
+    # sympy is imported here, its only use, so that importing lietau stays cheap
+    from sympy import Poly, symbols
+
     if not is_symplectic(m):
         raise PreconditionError("matrix is not symplectic")
     n = len(m)

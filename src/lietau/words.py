@@ -3,7 +3,20 @@
 Letters are stored as nonzero integers: ``+i`` is the i-th generator of the
 alphabet (1-based) and ``-i`` its inverse.  Words are always freely reduced;
 all values here are immutable and safe to share between threads.
+
+Products, inverses and endomorphism images are built by appending reduced
+words to a reduced letter list.  When both sides are reduced, all free
+cancellation happens at the junction: the appended word's prefix cancels
+against the list's suffix, and once a letter pair survives nothing further
+cancels.  `_append` finds that cancelled length with slice compares and
+splices the rest in, so these results come out reduced without a second
+pass.  `Word(alphabet, letters)` reduces and range-checks any letter
+sequence; `Word._reduced` trusts its letters and is only fed results of
+`_append` on validated Words.
 """
+
+from itertools import islice
+from operator import neg
 
 from .errors import UnknownGeneratorError
 
@@ -63,6 +76,38 @@ def surface_alphabet(genus):
                     + ["b%d" % i for i in range(1, genus + 1)])
 
 
+def _append(out, img, sign):
+    """Append the reduced letter tuple img (sign > 0) or its inverse
+    (sign < 0) to the reduced letter list out, cancelling at the junction."""
+    n, m = len(out), len(img)
+    lim = n if n < m else m
+    c = 0
+    if lim and out[-1] == (-img[0] if sign > 0 else img[-1]):
+        # out[n-e:n-c] cancels against letters c..e-1 of the appended word;
+        # that holds for every e up to the cancelled length and for none
+        # beyond it, so gallop up by doubling steps, then halve back down
+        c, step, grow = 1, 1, True
+        while step:
+            e = c + step
+            if e > lim:
+                e = lim
+            if e > c and (
+                    out[n - e:n - c] == list(map(neg, reversed(img[c:e])))
+                    if sign > 0 else
+                    tuple(out[n - e:n - c]) == img[m - e:m - c]):
+                c = e
+                if grow:
+                    step *= 2
+            else:
+                grow = False
+                step //= 2
+    del out[n - c:]
+    if sign > 0:
+        out.extend(islice(img, c, None))
+    else:
+        out.extend(map(neg, islice(reversed(img), c, None)))
+
+
 def _reduce_letters(letters):
     out = []
     for x in letters:
@@ -90,6 +135,15 @@ class Word:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _reduced(cls, alphabet, letters):
+        """A Word from letters known to be reduced and inside the alphabet."""
+        w = cls.__new__(cls)
+        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "letters", tuple(letters))
+        object.__setattr__(w, "_hash", None)
+        return w
+
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
 
@@ -113,10 +167,14 @@ class Word:
     def __mul__(self, other):
         if self.alphabet != other.alphabet:
             raise UnknownGeneratorError("words over different alphabets")
-        return Word(self.alphabet, self.letters + other.letters)
+        out = list(self.letters)
+        _append(out, other.letters, 1)
+        return Word._reduced(self.alphabet, out)
 
     def __invert__(self):
-        return Word(self.alphabet, tuple(-x for x in reversed(self.letters)))
+        out = []
+        _append(out, self.letters, -1)
+        return Word._reduced(self.alphabet, out)
 
     def __pow__(self, n):
         if n == 0:
@@ -188,17 +246,11 @@ class GroupEndomorphism:
         """Homomorphic image of w, freely reduced."""
         if w.alphabet != self.alphabet:
             raise UnknownGeneratorError("word over a different alphabet")
+        images = self.images
         out = []
         for x in w.letters:
-            img = self.images[abs(x) - 1].letters
-            if x < 0:
-                img = tuple(-y for y in reversed(img))
-            for y in img:
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
-        return Word(self.alphabet, out)
+            _append(out, images[abs(x) - 1].letters, x)
+        return Word._reduced(self.alphabet, out)
 
     def compose(self, other):
         """self after other: (self.compose(other))(w) == self(other(w))."""

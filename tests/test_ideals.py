@@ -1,11 +1,14 @@
 import random
 from math import comb
 
+import pytest
+
 from lietau.hall import hall_basis, mobius, witt
 from lietau.ideals import GradedIdeal
-from lietau.intlinalg import IntLattice
+from lietau.intlinalg import IntLattice, smith_divisors
 from lietau.lie import LieElement, bracket, random_like
 from lietau.magnus import lie_class_at
+from lietau.words import Alphabet, Word
 
 
 def test_symplectic_span_weight_two(model_of):
@@ -123,6 +126,32 @@ def test_handlebody_rank_weight_six(model_of):
     ideal = model_of(3).handlebody_ideal()
     assert ideal.quotient_rank(6) == witt(6, 3)
     assert ideal.level(6).torsion == ()
+
+
+@pytest.mark.parametrize("method", ["level", "span", "span_rank"])
+def test_weight_below_one_rejected(model_of, method):
+    ideal = model_of(2).symplectic_ideal()
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="weight must be >= 1"):
+            getattr(ideal, method)(k)
+
+
+def test_torsion_from_non_unit_pivot():
+    # the ideal of 2x: Z/2 at weight 1, and 2[x,y], 2[[x,y],y] keep a pivot 2
+    ab = Alphabet(["x", "y"])
+    ideal = GradedIdeal(ab, [(LieElement.generator(0).scale(2), Word(ab, (1, 1)))])
+    assert [ideal.level(k).torsion for k in (1, 2, 3)] == [(2,), (2,), (2, 2)]
+
+
+def test_torsion_is_smith_over_every_block(model_of):
+    for g in (1, 2):
+        m = model_of(g)
+        for ideal in (m.symplectic_ideal(), m.handlebody_ideal()):
+            for k in range(1, 6):
+                lv = ideal.level(k)
+                direct = [d for lat in lv.lattices.values()
+                          for d in smith_divisors(lat.matrix()) if d != 1]
+                assert lv.torsion == tuple(sorted(direct))
 
 
 def labute_rank(k, g):

@@ -138,3 +138,26 @@ def test_lift_word_series_depth():
         for t in hall_basis(k, 2):
             s = magnus(lift_word(t, AB), k)
             assert s.min_positive_degree() == k
+
+
+def balanced_product(w, cap):
+    """Product of the letters' series by a balanced tree, the reference
+    route for the one-pass expansion."""
+    level = [MagnusSeries.letter(abs(x) - 1, cap, 1 if x > 0 else -1)
+             for x in w.letters] or [MagnusSeries.one(cap)]
+    while len(level) > 1:
+        level = [level[i] * level[i + 1] if i + 1 < len(level) else level[i]
+                 for i in range(0, len(level), 2)]
+    return level[0]
+
+
+def test_one_pass_matches_balanced_product():
+    ab = Alphabet(["x", "y", "z"])
+    rng = random.Random(19)
+    for _ in range(200):
+        w = Word(ab, [rng.choice([1, -1]) * rng.randint(1, 3)
+                      for _ in range(rng.randint(0, 6))])
+        for cap in range(1, 6):
+            got = magnus(w, cap)
+            assert got == balanced_product(w, cap)
+            assert all(c for c in got.coeffs.values())

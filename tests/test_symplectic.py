@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +15,8 @@ from lietau.symplectic import (Lagrangian, adapt_symplectic_basis,
                                invariant_lagrangian_report,
                                invariant_lagrangian_search, is_invariant,
                                is_symplectic, omega)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TREFOIL = [[0, -1], [1, 1]]
 COMPANION = [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
@@ -185,3 +191,13 @@ def test_adapt_mixed_example():
     assert is_symplectic(s)
     cols = [[s[r][c] for r in range(4)] for c in range(2)]
     assert hermite_rows(cols, 4) == [list(r) for r in lag.rows]
+
+
+def test_import_leaves_sympy_unloaded():
+    # only the invariant-Lagrangian search needs sympy, so it imports it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import lietau, sys; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

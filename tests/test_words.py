@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,3 +111,97 @@ def test_conjugate_and_pow():
     assert X ** 3 == Word(AB, (1, 1, 1))
     assert X ** -2 == Word(AB, (-1, -1))
     assert (X ** 0) == Word(AB)
+
+
+def reference_reduce(letters):
+    """Free reduction letter by letter, the route the kernel must match."""
+    out = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def reference_inverse(letters):
+    return tuple(-x for x in reversed(letters))
+
+
+def reference_apply(images, letters):
+    out = []
+    for x in letters:
+        img = images[abs(x) - 1].letters
+        out.extend(img if x > 0 else reference_inverse(img))
+    return reference_reduce(out)
+
+
+AB4 = Alphabet(["p", "q", "r", "s"])
+
+
+def random_reduced(rng, length, n=4):
+    """A reduced word of exactly the given length."""
+    out = []
+    while len(out) < length:
+        x = rng.choice([1, -1]) * rng.randint(1, n)
+        if not out or out[-1] != -x:
+            out.append(x)
+    return Word(AB4, out)
+
+
+def random_endo(rng):
+    """Images mixing random words and conjugates u x u^-1, which cancel in
+    long runs wherever two of them meet."""
+    images = []
+    for i in range(len(AB4)):
+        u = random_reduced(rng, rng.randint(0, 40))
+        x = Word(AB4, (i + 1,))
+        images.append(u * x * ~u if rng.random() < 0.6
+                      else random_reduced(rng, rng.randint(0, 15)))
+    return GroupEndomorphism(AB4, images)
+
+
+def check_reduced_result(w, expected):
+    # the trusted constructor agrees with the validating one
+    assert w.letters == expected
+    assert type(w.letters) is tuple
+    assert w == Word(AB4, expected)
+
+
+def test_kernel_matches_reference_route():
+    rng = random.Random(3)
+    for _ in range(300):
+        phi, psi = random_endo(rng), random_endo(rng)
+        u = random_reduced(rng, rng.randint(0, 30))
+        v = random_reduced(rng, rng.randint(0, 30))
+        # a shared stretch makes u * ~v cancel far into both
+        v = random_reduced(rng, rng.randint(0, 5)) * u if rng.random() < 0.5 else v
+        check_reduced_result(phi.apply(u), reference_apply(phi.images, u.letters))
+        check_reduced_result(u * v, reference_reduce(u.letters + v.letters))
+        check_reduced_result(u * ~v, reference_reduce(
+            u.letters + reference_inverse(v.letters)))
+        check_reduced_result(~u, reference_inverse(u.letters))
+        n = rng.randint(-3, 3)
+        base = u.letters if n >= 0 else reference_inverse(u.letters)
+        check_reduced_result(u ** n, reference_reduce(base * abs(n)))
+        both = phi.compose(psi)
+        for img, inner in zip(both.images, psi.images):
+            check_reduced_result(img, reference_apply(phi.images, inner.letters))
+
+
+def test_kernel_on_a_long_word():
+    rng = random.Random(4)
+    w = random_reduced(rng, 12000)
+    phi = random_endo(rng)
+    check_reduced_result(phi.apply(w), reference_apply(phi.images, w.letters))
+    # conjugation by one u: 2|u| letters cancel at every junction
+    u = random_reduced(rng, 60)
+    inner = GroupEndomorphism(AB4, [u * Word(AB4, (i + 1,)) * ~u
+                                    for i in range(len(AB4))])
+    check_reduced_result(inner.apply(w), reference_apply(inner.images, w.letters))
+    assert inner.apply(w) == u * w * ~u
+    # ~cut starts by undoing the last 9000 letters of w
+    cut = random_reduced(rng, 7) * Word(AB4, w.letters[-9000:])
+    check_reduced_result(w * ~cut, reference_reduce(
+        w.letters + reference_inverse(cut.letters)))
+    check_reduced_result(~w * w, ())
