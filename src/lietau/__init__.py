@@ -7,8 +7,8 @@ from .errors import (DepthTooShallowError, DimensionMismatchError,
                      PreconditionError, RelationViolatedError,
                      UnexpectedTorsionError, UnknownGeneratorError,
                      WeightTooLowError)
-from .words import (Alphabet, GroupEndomorphism, Word, apply, commutator,
-                    reduce, surface_alphabet, word_from_str, word_to_str)
+from .words import (Alphabet, GroupEndomorphism, Word, commutator,
+                    surface_alphabet, word_from_str, word_to_str)
 from .hall import (HallTree, hall_basis, is_basic, mobius, tree_from_str,
                    tree_to_str, witt)
 from .lie import LieElement, bracket, lift_word, substitute, tree_to_lie
@@ -24,8 +24,7 @@ from .symplectic import (Lagrangian, adapt_symplectic_basis,
 from .johnson import (DEFAULT_CAP, HomValue, MappingClassData, TauValue,
                       boundary_twist, braid_automorphism, eta, eta_inverse,
                       identity_mapping_class, johnson_depth, jprime_depth,
-                      point_push_tau, push_tuple_of, reduce_tau1, sigma,
-                      sigma_free, tau, tau1)
+                      point_push_tau, push_tuple_of, sigma, tau, tau1)
 from .obstruction import (GradedDecomposition, ScanReport,
                           coordinate_lagrangians, grade_decompose,
                           obstruction_vanishes, robustness_scan, scan_family,

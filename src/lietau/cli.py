@@ -25,7 +25,9 @@ CONFIG_ENV = "LIETAU_CONFIG"
 _DEFAULTS = {"cap": 8, "height": 2, "format": "table"}
 
 
-def load_config(path=None):
+def load_config(path=None, overrides=None):
+    """Defaults, then the config file, then the non-None overrides (the
+    command-line values); the checks apply to the result."""
     cfg = dict(_DEFAULTS)
     path = path or os.environ.get(CONFIG_ENV)
     if path:
@@ -34,10 +36,13 @@ def load_config(path=None):
         for key in _DEFAULTS:
             if key in data:
                 cfg[key] = data[key]
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            cfg[key] = value
     if cfg["cap"] < 2:
-        raise PreconditionError("config cap must be >= 2")
+        raise PreconditionError("cap must be >= 2")
     if cfg["height"] < 0:
-        raise PreconditionError("config height must be >= 0")
+        raise PreconditionError("height must be >= 0")
     return cfg
 
 
@@ -92,7 +97,7 @@ def cmd_rank(args, cfg):
 
 def cmd_depth(args, cfg):
     f = serialize.parse_mapping_class(_read_json_arg(args.map))
-    cap = args.cap if args.cap is not None else cfg["cap"]
+    cap = cfg["cap"]
     jd = johnson_depth(f, cap)
     jp = jprime_depth(f, cap)
     fmt = lambda v: (">= %d" % cap) if v is None else ("= %d" % v)
@@ -129,8 +134,7 @@ def cmd_scan(args, cfg):
     if args.lagrangians:
         for obj in _read_json_arg(args.lagrangians):
             extra.append(serialize.parse_lagrangian(obj))
-    height = args.height if args.height is not None else cfg["height"]
-    report = robustness_scan(f, args.k, lagrangians=extra, height=height)
+    report = robustness_scan(f, args.k, lagrangians=extra, height=cfg["height"])
     out = {
         "k": args.k,
         "scanned": report.scanned,
@@ -144,7 +148,7 @@ def cmd_scan(args, cfg):
 def cmd_region(args, cfg):
     if args.kmax < 2 or args.gmax < 2:
         raise PreconditionError("region needs --kmax and --gmax >= 2")
-    fmt = args.format or cfg["format"]
+    fmt = cfg["format"]
     if fmt == "csv":
         _emit(rhs_csv(args.kmax, args.gmax), end="")
         _emit("")
@@ -244,7 +248,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config,
+                          {key: getattr(args, key, None) for key in _DEFAULTS})
         return args.fn(args, cfg)
     except LietauError as e:
         error = e.to_json()

@@ -394,32 +394,3 @@ def saturate_rows(rows, ncols):
         return hermite_rows(identity_matrix(ncols), ncols)
     return int_kernel_basis(ker, ncols)
 
-
-def rref_fractions(rows):
-    """(pivot columns, reduced rows) of a rational row-reduced echelon form."""
-    a = [[Fraction(v) for v in row] for row in rows]
-    if not a:
-        return [], []
-    ncols = len(a[0])
-    pivcols = []
-    r = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(r, len(a)):
-            if a[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][j]
-        a[r] = [v / pv for v in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][j]:
-                f = a[i][j]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivcols.append(j)
-        r += 1
-        if r == len(a):
-            break
-    return pivcols, a[:r]

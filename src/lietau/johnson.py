@@ -270,9 +270,10 @@ class TauValue:
                         {m: -e for m, e in self.terms.items()})
 
     def renormalize(self):
-        """Re-reduce every Lie part modulo the symplectic ideal."""
+        """The closed-surface value: every Lie part reduced modulo the
+        symplectic ideal (coefficient reduction when the value is free)."""
         ideal = self.model.symplectic_ideal()
-        return TauValue(self.model, self.k, self.free,
+        return TauValue(self.model, self.k, False,
                         {m: ideal.reduce(e).vector for m, e in self.terms.items()})
 
     def __repr__(self):
@@ -290,24 +291,15 @@ def _defect_class(f, index, k, reduced):
     return e
 
 
-def sigma(f, k):
-    """[x] -> class of phi(x) x^-1 in the weight-k layer of the closed surface."""
+def sigma(f, k, free=False):
+    """[x] -> class of phi(x) x^-1 in the weight-k layer of the closed
+    surface, or of the free Lie ring when free is set."""
     f.check_invertible()
     _require_depth(f, k)
     n = len(f.model.alphabet)
     return HomValue(f.model, k,
-                    {m: _defect_class(f, m, k, reduced=True) for m in range(n)},
-                    reduced=True)
-
-
-def sigma_free(f, k):
-    """The same defect homomorphism valued in the free Lie ring."""
-    f.check_invertible()
-    _require_depth(f, k)
-    n = len(f.model.alphabet)
-    return HomValue(f.model, k,
-                    {m: _defect_class(f, m, k, reduced=False) for m in range(n)},
-                    reduced=False)
+                    {m: _defect_class(f, m, k, reduced=not free) for m in range(n)},
+                    reduced=not free)
 
 
 def _omega_basis(g, i, m):
@@ -353,16 +345,7 @@ def tau(f, k):
 
 def tau1(f, k):
     """The weight-k Johnson value with free (punctured-surface) coefficients."""
-    return eta_inverse(sigma_free(f, k))
-
-
-def reduce_tau1(tv):
-    """Push a free value to the closed-surface one (coefficient reduction)."""
-    if not tv.free:
-        return tv
-    ideal = tv.model.symplectic_ideal()
-    return TauValue(tv.model, tv.k, False,
-                    {m: ideal.reduce(e).vector for m, e in tv.terms.items()})
+    return eta_inverse(sigma(f, k, free=True))
 
 
 def point_push_tau(model, lambdas, k):

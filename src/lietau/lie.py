@@ -14,7 +14,7 @@ so the rewriting terminates; results are memoized per tree pair.
 
 import threading
 
-from .hall import HallTree, hall_basis, is_basic
+from .hall import HallTree, is_basic
 from .words import Word, commutator as word_commutator
 
 
@@ -253,13 +253,3 @@ def lie_from_json(obj, alphabet=None):
             out = out + tree_to_lie(t).scale(int(c))
     return out
 
-
-def random_like(weight, n, rng, coeff_range=(-3, 3)):
-    """Small pseudo-random element, for tests; deterministic given the rng."""
-    basis = hall_basis(weight, n)
-    tm = {}
-    for t in basis:
-        c = rng.randint(*coeff_range)
-        if c:
-            tm[t] = c
-    return LieElement(weight, tm)

@@ -7,13 +7,14 @@ has Gram matrix J = [[0, I], [-I, 0]].
 """
 
 from fractions import Fraction
+from math import isqrt
 
 from .errors import (DimensionMismatchError, GenusTooLargeError, InternalFault,
                      NotDirectSummandError, NotIsotropicError, PreconditionError)
 from .intlinalg import (IntLattice, bareiss_det, charpoly, hermite_rows,
                         identity_matrix, int_kernel_basis, mat_mul, mat_vec,
-                        poly_eval_matrix, rref_fractions, saturate_rows,
-                        smith_divisors, transpose)
+                        poly_eval_matrix, saturate_rows, smith_divisors,
+                        transpose)
 
 
 def gram_matrix(g):
@@ -112,21 +113,17 @@ class Lagrangian:
 
 
 def is_invariant(m, lagrangian):
-    """True iff M maps the rational span of the Lagrangian into itself."""
-    rows = [list(r) for r in lagrangian.rows]
+    """True iff M maps the rational span of the Lagrangian into itself.
+
+    A Lagrangian is a direct summand, so its rational span meets Z^2g in the
+    Lagrangian itself, and the integer images M r must lie in its lattice.
+    """
     if len(m) != 2 * lagrangian.genus:
         raise DimensionMismatchError("matrix size does not match the genus")
-    pivcols, rref = rref_fractions(rows)
-    for r in rows:
-        img = mat_vec(m, r)
-        img = [Fraction(v) for v in img]
-        for pc, rr in zip(pivcols, rref):
-            if img[pc]:
-                f = img[pc]
-                img = [v - f * w for v, w in zip(img, rr)]
-        if any(img):
-            return False
-    return True
+    lat = IntLattice(len(m))
+    for r in lagrangian.rows:
+        lat.add(r)
+    return all(lat.contains(mat_vec(m, r)) for r in lagrangian.rows)
 
 
 def adapt_symplectic_basis(lagrangian):
@@ -174,7 +171,8 @@ def adapt_symplectic_basis(lagrangian):
     return s
 
 
-# --- arithmetic in Q[x]/(p) for the conjugate-pair isotropy certificate ---
+# --- polynomials: factoring the characteristic polynomial, and arithmetic
+# in Q[x]/(p) for the conjugate-pair isotropy certificate ---
 
 def _poly_trim(p):
     while p and p[-1] == 0:
@@ -211,6 +209,115 @@ def _poly_sub(p, q):
     for i, v in enumerate(q):
         out[i] -= v
     return _poly_trim(out)
+
+
+def _poly_divide_out(p, f):
+    """(p / f^k, k) for the largest k; integer coefficient lists, f monic."""
+    k = 0
+    while True:
+        quo, rem = _poly_divmod(p, f)
+        if rem:
+            return p, k
+        p, k = [int(c) for c in quo], k + 1
+
+
+# x^j + x^-j as a polynomial in y = x + 1/x, lowest coefficient first
+_CHEBYSHEV = ([2], [0, 1], [-2, 0, 1], [0, -3, 0, 1])
+
+
+def _integer_roots(q):
+    """The integer roots of a monic integer polynomial of degree <= 3, lowest
+    coefficient first, by exact bisection where it is monotone."""
+    def at(y):
+        return sum(c * y ** i for i, c in enumerate(q))
+    bound = 1 + max(map(abs, q))  # every root lies in (-bound, bound)
+    # q' changes sign only within 1 of these rounded turning points
+    turns = [-q[1] // 2] if len(q) == 3 else []
+    if len(q) == 4 and q[2] ** 2 >= 3 * q[1]:
+        r = isqrt(q[2] ** 2 - 3 * q[1])
+        turns = [(-q[2] - r) // 3, (-q[2] + r) // 3]
+    ends = sorted({-bound, bound} | {t + d for t in turns for d in (-1, 0, 1, 2)})
+    roots = {y for y in ends if at(y) == 0}
+    for lo, hi in zip(ends, ends[1:]):
+        while hi - lo > 1 and at(lo) * at(hi) < 0:
+            mid = (lo + hi) // 2
+            if at(mid) == 0:
+                roots.add(mid)
+                break
+            lo, hi = (mid, hi) if (at(mid) < 0) == (at(lo) < 0) else (lo, mid)
+    return sorted(roots)
+
+
+def _reciprocal_pairs(h):
+    """Candidates (s, s*) for h = s s*, a monic factor times its reciprocal,
+    where h has degree 4 or 6; each must still be checked by multiplying."""
+    if len(h) == 5 and h[2] < -2:
+        # x^4 + v x^2 + 1 = (x^2 - a x - 1)(x^2 + a x - 1) with a^2 = -v - 2
+        a = isqrt(-h[2] - 2)
+        yield [-1, -a, 1], [-1, a, 1]
+    if len(h) == 7:
+        # s = x^3 + a x^2 + b x + e, s* = x^3 + e b x^2 + e a x + e with
+        # e = +-1: a + e b = h_5 and a^2 + b^2 = e h_3 - 2
+        for e in (1, -1):
+            disc = 2 * (e * h[3] - 2) - h[5] ** 2
+            if disc >= 0:
+                for a in ((h[5] + isqrt(disc)) // 2, (h[5] - isqrt(disc)) // 2):
+                    b = e * (h[5] - a)
+                    yield [e, b, a, 1], [e, e * a, e * b, 1]
+
+
+def _factor_reciprocal(coeffs):
+    """Irreducible factors over Q of a monic palindromic integer polynomial
+    of degree 2g <= 6 with constant term 1, the characteristic polynomial of
+    a symplectic matrix of genus g <= 3.
+
+    Returns (factor, multiplicity) pairs, factors as coefficient lists
+    highest first, sorted by degree and then coefficients.
+    """
+    p = list(reversed(coeffs))  # lowest first from here on
+    # +-1 are the only rational roots of a monic p with constant term 1
+    p, k_one = _poly_divide_out(p, [-1, 1])
+    p, k_minus_one = _poly_divide_out(p, [1, 1])
+    found = [([-1, 1], k_one), ([1, 1], k_minus_one)]
+    # the rest is x^m q(x + 1/x), and an integer root t of q is the factor
+    # x^2 - t x + 1
+    m = len(p) // 2
+    q = [p[m]] + [0] * m
+    for j in range(1, m + 1):
+        for i, c in enumerate(_CHEBYSHEV[j]):
+            q[i] += p[m + j] * c
+    for t in _integer_roots(q):
+        p, k = _poly_divide_out(p, [1, -t, 1])
+        found.append(([1, -t, 1], k))
+    # what is left of q has degree 0, 2 or 3 and no rational root, so it is
+    # irreducible, and p is either irreducible or some s s*
+    for s, s_star in _reciprocal_pairs(p):
+        if _poly_mul(s, s_star) == p:
+            found += [(s, 1), (s_star, 1)]
+            break
+    else:
+        found.append((p, 1))
+    return sorted(((f[::-1], k) for f, k in found if k and len(f) > 1),
+                  key=lambda fk: (len(fk[0]), fk[0]))
+
+
+def _poly_str(coeffs):
+    """An integer polynomial in x, highest coefficient first, as sympy
+    prints it: x**4 - 3*x**2 + 1."""
+    out = ""
+    for i, c in enumerate(coeffs):
+        deg = len(coeffs) - 1 - i
+        if not c:
+            continue
+        term = "x**%d" % deg if deg > 1 else "x" if deg == 1 else ""
+        if abs(c) != 1 or not term:
+            term = "%d*%s" % (abs(c), term) if term else str(abs(c))
+        if out:
+            out += " - " if c < 0 else " + "
+        elif c < 0:
+            out = "-"
+        out += term
+    return out
 
 
 class _Field:
@@ -372,9 +479,6 @@ def invariant_lagrangian_search(m, bound=None):
 
 
 def invariant_lagrangian_report(m, bound=None):
-    # sympy is imported here, its only use, so that importing lietau stays cheap
-    from sympy import Poly, symbols
-
     if not is_symplectic(m):
         raise PreconditionError("matrix is not symplectic")
     n = len(m)
@@ -382,18 +486,9 @@ def invariant_lagrangian_report(m, bound=None):
     if g > 3:
         raise GenusTooLargeError("search supports genus <= 3, got %d" % g)
     report = SearchReport()
-    coeffs = charpoly(m)  # highest first
-    xsym = symbols("x")
-    poly = Poly(coeffs, xsym)
-    _, factors = poly.factor_list()
-    factors = sorted(((Poly(f, xsym), mult) for f, mult in factors),
-                     key=lambda fm: (fm[0].degree(), fm[0].all_coeffs()))
-
     option_sets = []   # per factor: list of (dim, rows)
-    for f, mult in factors:
-        fdeg = f.degree()
-        fc = [int(c) for c in f.all_coeffs()]  # highest first
-        if fdeg == 1:
+    for fc, mult in _factor_reciprocal(charpoly(m)):  # highest first
+        if len(fc) == 2:
             root = -fc[1] // fc[0]
             report.rational_eigenvalues.append(root)
             options = [(0, [])]
@@ -435,10 +530,10 @@ def invariant_lagrangian_report(m, bound=None):
                     s = field.add(s, field.mul(v[i], vbar[g + i]))
                     s = field.add(s, field.neg(field.mul(v[g + i], vbar[i])))
                 report.pair_checks.append(
-                    PairCheck(str(f.as_expr()), field.to_str(s), bool(s)))
+                    PairCheck(_poly_str(fc), field.to_str(s), bool(s)))
             else:
                 report.notes.append(
-                    "factor %s is not reciprocal; no pair certificate" % f.as_expr())
+                    "factor %s is not reciprocal; no pair certificate" % _poly_str(fc))
 
     from itertools import product as _prod
     for choice in _prod(*option_sets):

@@ -193,11 +193,6 @@ class Word:
         return by * self * ~by
 
 
-def reduce(alphabet, letters):
-    """Freely reduce a letter sequence into a Word."""
-    return Word(alphabet, letters)
-
-
 def commutator(w1, w2):
     """w1 w2 w1^-1 w2^-1, reduced."""
     return w1 * w2 * ~w1 * ~w2
@@ -261,11 +256,6 @@ class GroupEndomorphism:
         parts = ("%s->%s" % (nm, word_to_str(w) or "1")
                  for nm, w in zip(self.alphabet.names, self.images))
         return "GroupEndomorphism(%s)" % ", ".join(parts)
-
-
-def apply(phi, w):
-    """Functional alias for GroupEndomorphism.apply."""
-    return phi.apply(w)
 
 
 def word_to_str(w):

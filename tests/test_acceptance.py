@@ -12,12 +12,13 @@ from random import Random
 sys.path.insert(0, str(Path(__file__).parent))
 
 from braidgen import commutator_braid, elementary_braids_g3, search_push_tuples_g2
+from liegen import random_like
 from lietau.hall import enumerate_trees, hall_basis, witt
 from lietau.johnson import (HomValue, TauValue, boundary_twist,
                             braid_automorphism, eta, eta_inverse,
                             johnson_depth, jprime_depth, point_push_tau,
                             tau, tau1)
-from lietau.lie import LieElement, bracket, random_like
+from lietau.lie import LieElement, bracket
 from lietau.magnus import induced_lie_map, lie_class_at
 from lietau.obstruction import value_obstruction_vanishes
 from lietau.region import region_holds, region_lhs, region_rhs, region_table, rhs_csv

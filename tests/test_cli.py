@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,8 @@ from lietau.cli import main
 from lietau.serialize import dumps, parse_int, parse_lagrangian, parse_word
 from lietau.surface import SurfaceModel
 from lietau.words import word_to_str
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -148,6 +154,72 @@ def test_matrix_check_companion(capsys):
     assert data["pair_checks"][0]["nonzero"] is True
 
 
+# matrix-check goldens: one per shape of characteristic polynomial factor
+MATRIX_GOLDENS = {
+    # x^4 - 3x^2 + 1 = (x^2 - x - 1)(x^2 + x - 1)
+    "quadratic_pair": (
+        "[[1,1,0,0],[1,0,0,0],[0,0,0,1],[0,0,1,-1]]",
+        '{"candidates_tested": 1, "eigen_pm1": false, "invariant_lagrangian": '
+        '{"genus": 2, "span": [[0, 0, 1, 0], [0, 0, 0, 1]]}, "notes": ["factor '
+        'x**2 - x - 1 is not reciprocal; no pair certificate", "factor x**2 + x '
+        '- 1 is not reciprocal; no pair certificate"], "pair_checks": [], '
+        '"rational_eigenvalues": [], "size": 4, "symplectic": true}\n'),
+    # (x^3 - x - 1)(x^3 + x^2 - 1)
+    "cubic_pair": (
+        "[[0,0,1,0,0,0],[1,0,1,0,0,0],[0,1,0,0,0,0],[0,0,0,-1,0,1],"
+        "[0,0,0,1,0,0],[0,0,0,0,1,0]]",
+        '{"candidates_tested": 1, "eigen_pm1": false, "invariant_lagrangian": '
+        '{"genus": 3, "span": [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], '
+        '[0, 0, 0, 0, 0, 1]]}, "notes": ["factor x**3 - x - 1 is not '
+        'reciprocal; no pair certificate", "factor x**3 + x**2 - 1 is not '
+        'reciprocal; no pair certificate"], "pair_checks": [], '
+        '"rational_eigenvalues": [], "size": 6, "symplectic": true}\n'),
+    # an irreducible sextic
+    "sextic": (
+        "[[1,0,0,1,-1,0],[0,1,-1,-1,1,-1],[0,0,1,0,-1,0],[-2,1,0,-2,2,-1],"
+        "[1,-2,0,3,0,2],[1,-2,-1,3,1,3]]",
+        '{"candidates_tested": 0, "eigen_pm1": false, "invariant_lagrangian": '
+        'null, "pair_checks": [{"factor": "x**6 - 4*x**5 - x**4 + 5*x**3 - '
+        'x**2 - 4*x + 1", "nonzero": true, "omega_v_vbar": "484/27 + 22/9*z + '
+        '-577/27*z^2 + 49/27*z^3 + 214/9*z^4 + -157/27*z^5"}], '
+        '"rational_eigenvalues": [], "size": 6, "symplectic": true}\n'),
+    # (x^2 - 3x + 1)^2
+    "repeated": (
+        "[[2,0,1,0],[0,2,0,1],[1,0,1,0],[0,1,0,1]]",
+        '{"candidates_tested": 0, "eigen_pm1": false, "invariant_lagrangian": '
+        'null, "pair_checks": [{"factor": "x**2 - 3*x + 1", "nonzero": true, '
+        '"omega_v_vbar": "-3 + 2*z"}], "rational_eigenvalues": [], "size": 4, '
+        '"symplectic": true}\n'),
+    # (x - 1)^2 (x^2 + 1)(x^2 - 3x + 1)
+    "mixed": (
+        "[[1,0,0,0,0,0],[0,0,0,0,-1,0],[0,0,2,0,0,1],[1,0,0,1,0,0],"
+        "[0,1,0,0,0,0],[0,0,1,0,0,1]]",
+        '{"candidates_tested": 4, "eigen_pm1": true, "invariant_lagrangian": '
+        'null, "pair_checks": [{"factor": "x**2 - 3*x + 1", "nonzero": true, '
+        '"omega_v_vbar": "-3 + 2*z"}, {"factor": "x**2 + 1", "nonzero": true, '
+        '"omega_v_vbar": "2*z"}], "rational_eigenvalues": [1], "size": 6, '
+        '"symplectic": true}\n'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_GOLDENS))
+def test_matrix_check_golden(capsys, name):
+    matrix, expect = MATRIX_GOLDENS[name]
+    code, out, _ = run(capsys, "matrix-check", "--matrix", matrix)
+    assert code == 0 and out == expect
+
+
+def test_matrix_check_golden_without_sympy():
+    script = ("import sys; sys.modules['sympy'] = None\n"
+              "from lietau.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for matrix, expect in MATRIX_GOLDENS.values():
+        out = subprocess.run(
+            [sys.executable, "-c", script, "matrix-check", "--matrix", matrix],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0 and out.stdout == expect, out.stderr
+
+
 def test_domain_error_exit_code(capsys):
     code, out, err = run(capsys, "tau", "--k", "2",
                          "--map", '{"genus":2,"images":{"a1":"b1"}}')
@@ -165,6 +237,8 @@ def test_domain_error_exit_code(capsys):
     ["region", "--kmax", "1"],
     ["depth", "--map", "."],
     ["depth", "--map", '{"genus":"x"}'],
+    ["depth", "--map", '{"genus":2,"images":{}}', "--cap", "0"],
+    ["scan", "--k", "2", "--map", '{"genus":2,"images":{}}', "--height", "-1"],
 ])
 def test_bad_input_is_one_json_error(capsys, argv):
     code, out, err = run(capsys, *argv)

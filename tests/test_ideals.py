@@ -3,10 +3,11 @@ from math import comb
 
 import pytest
 
+from liegen import random_like
 from lietau.hall import hall_basis, mobius, witt
 from lietau.ideals import GradedIdeal
 from lietau.intlinalg import IntLattice, smith_divisors
-from lietau.lie import LieElement, bracket, random_like
+from lietau.lie import LieElement, bracket
 from lietau.magnus import lie_class_at
 from lietau.words import Alphabet, Word
 

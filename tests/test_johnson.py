@@ -3,15 +3,16 @@ import random
 import pytest
 
 from braidgen import search_push_tuples_g2
+from liegen import random_like
 from lietau.errors import (DepthTooShallowError, RelationViolatedError,
                            WeightTooLowError)
 from lietau.hall import hall_basis
 from lietau.johnson import (HomValue, MappingClassData, TauValue,
                             boundary_twist, braid_automorphism, eta,
                             eta_inverse, identity_mapping_class, johnson_depth,
-                            jprime_depth, point_push_tau, push_tuple_of,
-                            reduce_tau1, sigma, sigma_free, tau, tau1)
-from lietau.lie import LieElement, bracket, random_like
+                            jprime_depth, point_push_tau, push_tuple_of, sigma,
+                            tau, tau1)
+from lietau.lie import LieElement, bracket
 from lietau.magnus import lie_class_at
 from lietau.words import GroupEndomorphism, Word, commutator
 
@@ -153,7 +154,7 @@ def test_braid_sigma_columns(model_of, g3_braids):
     d = g3_braids["d"]
     lam = push_tuple_of(d.fwd)
     assert lam is not None
-    s = sigma_free(d.fwd, 3)
+    s = sigma(d.fwd, 3, free=True)
     for i in range(3):
         assert s.value(i) == lie_class_at(lam[i], 3)
         assert s.value(3 + i).is_zero()
@@ -219,7 +220,7 @@ def test_tau1_compatible_with_tau(model_of, g3_braids):
     d = g3_braids["d"]
     t = boundary_twist(m)
     for f in (d.fwd, t, t.compose(d.fwd)):
-        assert reduce_tau1(tau1(f, 3)) == tau(f, 3)
+        assert tau1(f, 3).renormalize() == tau(f, 3)
 
 
 def test_jprime_at_least_johnson(model_of, g3_braids):

@@ -2,10 +2,10 @@ import random
 
 from hypothesis import given, strategies as st
 
+from liegen import random_like
 from lietau.hall import HallTree, hall_basis, is_basic, tree_from_str
 from lietau.lie import (LieElement, bracket, expand_associative, lie_from_json,
-                        lie_to_json, lift_word, random_like, substitute,
-                        tree_to_lie)
+                        lie_to_json, lift_word, substitute, tree_to_lie)
 from lietau.magnus import lie_class_at
 from lietau.words import Alphabet
 

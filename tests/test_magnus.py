@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from liegen import random_like
 from lietau.errors import PreconditionError
 from lietau.hall import hall_basis
-from lietau.lie import LieElement, bracket, lift_word, random_like
+from lietau.lie import LieElement, bracket, lift_word
 from lietau.magnus import (MagnusSeries, induced_lie_map, lie_class_at, magnus,
                            weight_of)
 from lietau.surface import SurfaceModel

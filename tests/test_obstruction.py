@@ -55,7 +55,7 @@ def test_symplectic_class_has_grade_one(model_of):
 
 
 def test_components_sum_to_total(model_of):
-    from lietau.lie import random_like
+    from liegen import random_like
     m = model_of(3)
     rng = random.Random(404)
     value = TauValue(m, 3, False, {0: random_like(3, 6, rng),

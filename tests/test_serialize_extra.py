@@ -1,9 +1,10 @@
 import json
 import threading
 
+from liegen import random_like
 from lietau.hall import hall_basis, witt
 from lietau.johnson import boundary_twist, tau1
-from lietau.lie import bracket, random_like
+from lietau.lie import bracket
 from lietau.serialize import (dumps, mapping_class_json, parse_mapping_class,
                               parse_tau, tau_json)
 from lietau.surface import SurfaceModel

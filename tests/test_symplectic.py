@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -9,10 +10,10 @@ from hypothesis import given, strategies as st
 
 from lietau.errors import (GenusTooLargeError, NotDirectSummandError,
                            NotIsotropicError, PreconditionError)
-from lietau.intlinalg import hermite_rows, identity_matrix, mat_mul
-from lietau.symplectic import (Lagrangian, adapt_symplectic_basis,
-                               eigen_pm1_condition, gram_matrix,
-                               invariant_lagrangian_report,
+from lietau.intlinalg import charpoly, hermite_rows, identity_matrix, mat_mul
+from lietau.symplectic import (Lagrangian, _factor_reciprocal, _poly_str,
+                               adapt_symplectic_basis, eigen_pm1_condition,
+                               gram_matrix, invariant_lagrangian_report,
                                invariant_lagrangian_search, is_invariant,
                                is_symplectic, omega)
 
@@ -194,10 +195,78 @@ def test_adapt_mixed_example():
 
 
 def test_import_leaves_sympy_unloaded():
-    # only the invariant-Lagrangian search needs sympy, so it imports it
+    # sympy is only the tests' reference factorizer, never a runtime import
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c",
          "import lietau, sys; print('sympy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def _factor_both_ways(coeffs):
+    """(ours, sympy's) factorization: [(coeffs, multiplicity, str)] each."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    _, factors = sympy.Poly(coeffs, x).factor_list()
+    factors = sorted(factors, key=lambda fk: (fk[0].degree(), fk[0].all_coeffs()))
+    ref = [([int(c) for c in f.all_coeffs()], k, str(f.as_expr()))
+           for f, k in factors]
+    ours = [(f, k, _poly_str(f)) for f, k in _factor_reciprocal(coeffs)]
+    return ours, ref
+
+
+def test_poly_str_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for coeffs in ([-41, 0, 0, 0], [1, 0, -3, 0, 1], [1, -1], [-1, 2, -1],
+                   [3, 1, 0, -7], [-5], [1, 0]):
+        assert _poly_str(coeffs) == str(sympy.Poly(coeffs, x).as_expr())
+
+
+def test_factor_matches_sympy_on_test_matrices():
+    mats = [TREFOIL, COMPANION] + [identity_matrix(n) for n in (2, 4, 6)]
+    for m in mats + [[[-v for v in row] for row in m] for m in mats]:
+        ours, ref = _factor_both_ways(charpoly(m))
+        assert ours == ref
+
+
+def test_factor_matches_sympy_on_random_symplectic():
+    rng = random.Random(11)
+    for g in (1, 2, 3):
+        for _ in range(60):
+            ours, ref = _factor_both_ways(charpoly(_random_symplectic(g, rng)))
+            assert ours == ref
+
+
+def test_factor_matches_sympy_on_large_coefficients():
+    # integer roots are found by bisection, so huge coefficients stay cheap
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    t, a = 10 ** 12 + 39, 10 ** 6
+    for expr in ((x**2 - t*x + 1) ** 2 * (x**2 + 1),
+                 (x**2 + t*x + 1) * (x**2 - a*x - 1) * (x**2 + a*x - 1),
+                 (x**3 + t*x**2 - a*x - 1) * (x**3 + a*x**2 - t*x - 1),
+                 (x - 1) ** 2 * (x**4 + t*x**3 - 3*x**2 + t*x + 1),
+                 x**6 + t*x**5 - t*x**4 + 5*x**3 - t*x**2 + t*x + 1):
+        coeffs = [int(c) for c in sympy.Poly(expr, x).all_coeffs()]
+        ours, ref = _factor_both_ways(coeffs)
+        assert ours == ref
+
+
+def test_factor_matches_sympy_on_all_small_palindromes():
+    # every monic palindromic polynomial of degree 2, 4 and 6 with middle
+    # coefficients in [-5, 5]
+    shapes = set()
+    for half in range(1, 4):
+        for mid in itertools.product(range(-5, 6), repeat=half):
+            coeffs = [1, *mid] + [1, *mid][-2::-1]
+            ours, ref = _factor_both_ways(coeffs)
+            assert ours == ref, coeffs
+            for f, k, _ in ours:
+                if len(f) > 2 and f != f[::-1]:
+                    shapes.add("s s* of degree %d" % (len(f) - 1))
+                elif len(f) == 3 and k > 1:
+                    shapes.add("repeated x^2 - t x + 1")
+    assert shapes == {"s s* of degree 2", "s s* of degree 3",
+                      "repeated x^2 - t x + 1"}

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from lietau.errors import UnknownGeneratorError
 from lietau.words import (Alphabet, GroupEndomorphism, Word, commutator,
-                          reduce, surface_alphabet, word_from_pairs,
-                          word_from_str, word_to_pairs, word_to_str)
+                          surface_alphabet, word_from_pairs, word_from_str,
+                          word_to_pairs, word_to_str)
 
 AB = Alphabet(["x", "y"])
 X, Y = AB.generator("x"), AB.generator("y")
@@ -17,19 +17,19 @@ def letters(*xs):
 
 
 def test_cancellation():
-    assert reduce(AB, letters(1, -1)) == Word(AB)
+    assert Word(AB, letters(1, -1)) == Word(AB)
 
 
 def test_single_cancellation():
     sa = surface_alphabet(1)
     # a1 b1 b1^-1 a1 -> a1^2
-    w = reduce(sa, letters(1, 2, -2, 1))
+    w = Word(sa, letters(1, 2, -2, 1))
     assert w == Word(sa, letters(1, 1))
 
 
 def test_reduce_idempotent_on_reduced():
     w = Word(AB, letters(1, 2, -1))
-    assert reduce(AB, w.letters) == w
+    assert Word(AB, w.letters) == w
 
 
 small_letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=20)
@@ -37,8 +37,8 @@ small_letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=20)
 
 @given(small_letters)
 def test_reduce_idempotent_and_nonincreasing(ls):
-    w = reduce(AB, ls)
-    assert reduce(AB, w.letters) == w
+    w = Word(AB, ls)
+    assert Word(AB, w.letters) == w
     assert len(w) <= len(ls)
 
 
