@@ -4,7 +4,9 @@ A graded ideal is generated by homogeneous elements, each paired with a group
 word whose leading Lie term is that element.  The weight-k span is built
 inductively: generator vectors of weight k together with brackets of the
 weight-(k-1) spanning set against all weight-1 leaves, each new spanning
-vector inheriting the lift [lift, generator].
+vector inheriting the lift [lift, generator].  A level stores only the recipe
+(parent vector, letter) of such a lift; the word is built on first use and
+cached, so ranks, torsion and normal forms never build one.
 
 The spans split into independent blocks.  A basic commutator's block is its
 leaf multidegree modulo the lattice spanned by the multidegree differences
@@ -54,10 +56,13 @@ class QuotientClass:
 
 
 class _Level:
-    __slots__ = ("spanning", "blocks", "columns", "lattices", "rank", "torsion")
+    __slots__ = ("vectors", "lifts", "blocks", "columns", "lattices", "rank",
+                 "torsion")
 
     def __init__(self):
-        self.spanning = []      # (LieElement, lift Word), an independent set
+        self.vectors = []       # LieElement, an independent set
+        self.lifts = []         # per vector: lift Word, or the recipe
+                                # (parent tag one weight down, letter index)
         self.blocks = {}        # block key -> its basic commutators, Hall order
         self.columns = {}       # basic commutator -> (block key, column)
         self.lattices = {}      # block key -> IntLattice over that block
@@ -86,6 +91,7 @@ class GradedIdeal:
                 raise ValueError("generator lift must be a word over the alphabet")
             gens.append((e, lift))
         self.generators = tuple(gens)
+        self._letters = [Word(alphabet, (i + 1,)) for i in range(self.n)]
         self.min_weight = min(e.weight for e, _ in gens) if gens else 1
         # multidegree differences within each generator; block keys are
         # multidegrees reduced modulo this lattice
@@ -115,23 +121,16 @@ class GradedIdeal:
             block = lv.blocks.setdefault(key, [])
             lv.columns[t] = key, len(block)
             block.append(t)
-        candidates = [(e, lift) for e, lift in self.generators if e.weight == k]
+        for e, lift in self.generators:
+            if e.weight == k:
+                self._insert(lv, e, lift)
         if k > 1:
-            prev = self._levels.get(k - 1)
-            if prev is not None:
-                for v, lift in prev.spanning:
-                    for i in range(self.n):
-                        leaf = LieElement.generator(i)
-                        bv = bracket(v, leaf)
-                        if bv.is_zero():
-                            continue
-                        blift = commutator(lift, Word(self.alphabet, (i + 1,)))
-                        candidates.append((bv, blift))
-        for e, lift in candidates:
-            # keep exactly the candidates that enlarge the span lattice, so
-            # the kept lifts always generate it over the integers
-            if self._insert(lv, e, len(lv.spanning)):
-                lv.spanning.append((e, lift))
+            leaves = [LieElement.generator(i) for i in range(self.n)]
+            for tag, v in enumerate(self._levels[k - 1].vectors):
+                for i, leaf in enumerate(leaves):
+                    bv = bracket(v, leaf)
+                    if not bv.is_zero():
+                        self._insert(lv, bv, (tag, i))
         lv.rank = sum(lat.rank for lat in lv.lattices.values())
         divisors = []
         for lat in lv.lattices.values():
@@ -141,6 +140,17 @@ class GradedIdeal:
                                 if d != 1)
         lv.torsion = tuple(sorted(divisors))
         return lv
+
+    def _lift(self, k, tag):
+        """The lift of spanning vector `tag` at weight k, built on first use."""
+        with self._lock:
+            lifts = self._levels[k].lifts
+            lift = lifts[tag]
+            if not isinstance(lift, Word):
+                parent, i = lift
+                lift = lifts[tag] = commutator(self._lift(k - 1, parent),
+                                               self._letters[i])
+            return lift
 
     @staticmethod
     def _split(lv, e):
@@ -154,18 +164,28 @@ class GradedIdeal:
             vec[i] = c
         return out
 
-    def _insert(self, lv, e, tag):
+    def _insert(self, lv, e, lift):
+        """Keep e, with its lift or lift recipe, iff it enlarges the span
+        lattice, so the kept lifts always generate it over the integers."""
+        tag = len(lv.vectors)
         changed = False
         for key, vec in self._split(lv, e).items():
             lat = lv.lattices.get(key)
             if lat is None:
                 lat = lv.lattices[key] = IntLattice(len(vec), track=True)
             changed |= lat.add(vec, tag)
-        return changed
+        if changed:
+            lv.vectors.append(e)
+            lv.lifts.append(lift)
 
     def span(self, k):
-        """The independent spanning set [(LieElement, lift)] at weight k."""
-        return list(self.level(k).spanning)
+        """The independent spanning set [(LieElement, lift)] at weight k.
+
+        Builds (and caches) every weight-k lift not built yet.
+        """
+        lv = self.level(k)
+        with self._lock:
+            return [(e, self._lift(k, tag)) for tag, e in enumerate(lv.vectors)]
 
     def span_rank(self, k):
         return self.level(k).rank
@@ -190,8 +210,10 @@ class GradedIdeal:
         """Integer combination of spanning vectors equal to e, with lifts.
 
         Returns [(coeff, lift)] or None when e is not in the integer span.
+        Only the lifts in the combination are built (and cached).
         """
-        lv = self.level(e.weight)
+        k = e.weight
+        lv = self.level(k)
         acc = {}
         for key, vec in self._split(lv, e).items():
             lat = lv.lattices.get(key)
@@ -200,5 +222,5 @@ class GradedIdeal:
                 return None
             for tag, c in combo.items():
                 acc[tag] = acc.get(tag, 0) + c
-        return [(acc[tag], lv.spanning[tag][1]) for tag in sorted(acc)
+        return [(acc[tag], self._lift(k, tag)) for tag in sorted(acc)
                 if acc[tag]]

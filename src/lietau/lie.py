@@ -41,6 +41,15 @@ class LieElement:
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "terms", tm)
 
+    @classmethod
+    def _of(cls, weight, terms):
+        """A LieElement owning `terms`, a dict already known to map basic
+        commutators of this weight to nonzero ints."""
+        e = cls.__new__(cls)
+        object.__setattr__(e, "weight", weight)
+        object.__setattr__(e, "terms", terms)
+        return e
+
     def __setattr__(self, *a):
         raise AttributeError("LieElement is immutable")
 
@@ -79,10 +88,10 @@ class LieElement:
                 tm[t] = v
             else:
                 tm.pop(t, None)
-        return LieElement(self.weight, tm)
+        return LieElement._of(self.weight, tm)
 
     def __neg__(self):
-        return LieElement(self.weight, {t: -c for t, c in self.terms.items()})
+        return LieElement._of(self.weight, {t: -c for t, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -91,7 +100,7 @@ class LieElement:
         c = int(c)
         if c == 0:
             return LieElement(self.weight)
-        return LieElement(self.weight, {t: c * v for t, v in self.terms.items()})
+        return LieElement._of(self.weight, {t: c * v for t, v in self.terms.items()})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda tc: tc[0].key)
@@ -150,7 +159,7 @@ def bracket(e1, e2):
                     acc[t] = val
                 else:
                     acc.pop(t, None)
-    return LieElement(w, acc)
+    return LieElement._of(w, acc)
 
 
 def tree_to_lie(t):

@@ -7,7 +7,7 @@ them, and the parsers accept both representations.
 
 import json
 
-from .errors import PreconditionError
+from .errors import PreconditionError, UnknownGeneratorError
 from .hall import tree_to_json
 from .johnson import MappingClassData, TauValue
 from .lie import lie_from_json, lie_to_json
@@ -91,8 +91,14 @@ def parse_mapping_class(obj, model=None):
     genus = parse_int(obj["genus"])
     if model is None or model.genus != genus:
         model = SurfaceModel(genus)
+    raw = obj.get("images", {})
+    if not isinstance(raw, dict):
+        raise PreconditionError('"images" must be an object {name: word}')
     images = {}
-    for name, wobj in obj.get("images", {}).items():
+    for name, wobj in raw.items():
+        if name not in model.alphabet.index:
+            raise UnknownGeneratorError(
+                "unknown generator %r in images" % (name,))
         images[name] = parse_word(model.alphabet, wobj)
     endo = GroupEndomorphism.from_dict(model.alphabet, images)
     return MappingClassData(model, endo)

@@ -479,6 +479,8 @@ def invariant_lagrangian_search(m, bound=None):
 
 
 def invariant_lagrangian_report(m, bound=None):
+    if bound is not None and bound < 1:
+        raise PreconditionError("bound must be >= 1")
     if not is_symplectic(m):
         raise PreconditionError("matrix is not symplectic")
     n = len(m)

@@ -10,25 +10,34 @@ from lietau.magnus import weight_of
 from lietau.words import GroupEndomorphism, Word, word_from_str
 
 
-def reduced_b_words(model, maxlen):
+def reduced_b_words(model, maxlen, balanced=False):
     """Freely reduced words in the b-letters, shortest first, lexicographic
-    within a length; generated depth-first per length to keep memory flat."""
+    within a length; generated depth-first per length to keep memory flat.
+
+    With balanced=True only the words whose exponent sum in every b-letter
+    is 0 are generated, in the same order: a prefix is dropped as soon as
+    its exponent sums cannot return to 0 within the letters left.
+    """
     g = model.genus
     letters = []
     for i in range(g):
         letters.extend((g + 1 + i, -(g + 1 + i)))
 
-    def emit(prefix, remaining):
+    def emit(prefix, sums, remaining):
+        if balanced and sum(map(abs, sums)) > remaining:
+            return
         if remaining == 0:
             yield Word(model.alphabet, prefix)
             return
         for x in letters:
             if prefix and prefix[-1] == -x:
                 continue
-            yield from emit(prefix + (x,), remaining - 1)
+            step = list(sums)
+            step[abs(x) - g - 1] += 1 if x > 0 else -1
+            yield from emit(prefix + (x,), step, remaining - 1)
 
     for length in range(maxlen + 1):
-        yield from emit((), length)
+        yield from emit((), [0] * g, length)
 
 
 def _conjugator_to(word, target_letter):
@@ -43,17 +52,21 @@ def _conjugator_to(word, target_letter):
     return letters[:lo]
 
 
-def search_push_tuples_g2(model, maxlen, min_weight=2, cap=6):
+def search_push_tuples_g2(model, maxlen, min_weight=2, cap=6, prune=True):
     """Bounded search for admissible genus-2 push tuples, canonical order.
 
     Enumerates lambda_1 over reduced b-words of length <= maxlen whose
     lower-central weight is at least min_weight, solves the boundary product
     relation for lambda_2, and keeps the solutions meeting the same bounds.
+    A word of weight >= 2 has exponent sum 0 in every letter, so for
+    min_weight >= 2 the enumeration skips the other words unless prune=False;
+    the result is the same.
     """
     assert model.genus == 2
     b1, b2 = model.b(1), model.b(2)
     found = []
-    for lam1 in reduced_b_words(model, maxlen):
+    balanced = prune and min_weight >= 2
+    for lam1 in reduced_b_words(model, maxlen, balanced):
         if min_weight >= 2 and lam1 and weight_of(lam1, min_weight - 1) is not None:
             continue
         c1 = ~lam1 * b1 * lam1

@@ -239,6 +239,9 @@ def test_domain_error_exit_code(capsys):
     ["depth", "--map", '{"genus":"x"}'],
     ["depth", "--map", '{"genus":2,"images":{}}', "--cap", "0"],
     ["scan", "--k", "2", "--map", '{"genus":2,"images":{}}', "--height", "-1"],
+    ["depth", "--map", '{"genus": 2, "images": []}'],
+    ["depth", "--map", '{"genus":2,"images":{"a1":"a1 b1","zz":"b1"}}'],
+    ["matrix-check", "--matrix", "[[1,0],[0,1]]", "--bound", "0"],
 ])
 def test_bad_input_is_one_json_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -246,6 +249,22 @@ def test_bad_input_is_one_json_error(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("argv,error,named", [
+    (["depth", "--map", '{"genus": 2, "images": []}'],
+     "precondition-violation", "images"),
+    (["depth", "--map", '{"genus":2,"images":{"a1":"a1 b1","zz":"b1"}}'],
+     "unknown-generator", "zz"),
+    (["matrix-check", "--matrix", "[[1,0],[0,1]]", "--bound", "-5"],
+     "precondition-violation", "bound"),
+])
+def test_refusal_names_its_input(capsys, argv, error, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    data = json.loads(err)
+    assert data["error"] == error
+    assert named in data["message"]
 
 
 def test_usage_error_exit_code(capsys):

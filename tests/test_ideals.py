@@ -1,9 +1,12 @@
 import random
+import sys
+import threading
 from math import comb
 
 import pytest
 
 from liegen import random_like
+from lietau import SurfaceModel
 from lietau.hall import hall_basis, mobius, witt
 from lietau.ideals import GradedIdeal
 from lietau.intlinalg import IntLattice, smith_divisors
@@ -106,11 +109,65 @@ def test_span_is_bracket_closed(model_of):
 
 
 def test_lift_leading_terms(model_of):
-    m = model_of(2)
+    for g, kmax in ((1, 5), (2, 5), (3, 4)):
+        m = model_of(g)
+        for ideal in (m.symplectic_ideal(), m.handlebody_ideal()):
+            for k in range(1, kmax + 1):
+                for vec, lift in ideal.span(k):
+                    assert lie_class_at(lift, k) == vec
+
+
+def built_lifts(ideal, k):
+    return sum(isinstance(lift, Word) for lift in ideal.level(k).lifts)
+
+
+def test_ranks_and_normal_forms_build_no_lift():
+    m = SurfaceModel(2)
+    rng = random.Random(3)
     for ideal in (m.symplectic_ideal(), m.handlebody_ideal()):
-        for k in (1, 2, 3):
-            for vec, lift in ideal.span(k):
-                assert lie_class_at(lift, k) == vec
+        for k in range(1, 6):
+            ideal.quotient_rank(k)
+            ideal.span_rank(k)
+            ideal.level(k).torsion
+            ideal.reduce(random_like(k, 4, rng))
+        # only the generators' own lifts are words
+        assert [built_lifts(ideal, k) for k in range(1, 6)] == [
+            sum(e.weight == k for e, _ in ideal.generators) for k in range(1, 6)]
+
+
+def test_solve_in_span_builds_only_its_lifts():
+    ideal = SurfaceModel(2).symplectic_ideal()
+    vecs = ideal.level(4).vectors
+    combo = ideal.solve_in_span(vecs[3] + vecs[7].scale(-2))
+    assert [c for c, _ in combo] == [1, -2]
+    assert built_lifts(ideal, 4) == 2
+    assert built_lifts(ideal, 3) <= 2
+    assert [lift for _, lift in combo] == [ideal.span(4)[3][1], ideal.span(4)[7][1]]
+
+
+def test_span_from_threads_is_identical():
+    ideal = SurfaceModel(2).symplectic_ideal()
+    start = threading.Barrier(4)
+    spans = [None] * 4
+
+    def read(i):
+        start.wait()
+        spans[i] = ideal.span(5)
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert spans[0] and all(s == spans[0] for s in spans)
+    # every thread got the one cached word of each lift
+    assert all(a[1] is b[1] for s in spans for a, b in zip(s, spans[0]))
 
 
 def test_standalone_ideal_over_given_alphabet(model_of):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from braidgen import search_push_tuples_g2
+from braidgen import reduced_b_words, search_push_tuples_g2
 from liegen import random_like
 from lietau.errors import (DepthTooShallowError, RelationViolatedError,
                            WeightTooLowError)
@@ -278,3 +278,18 @@ def test_braid_inverse_exactness(model_of, g3_braids):
     assert b23.bwd.compose(b23.fwd).endo == ident
     c = g3_braids["c"]
     assert c.fwd.compose(c.bwd).endo == ident
+
+
+def test_pruned_push_search_matches_full_enumeration(model_of):
+    m = model_of(2)
+    for maxlen in range(9):
+        assert (search_push_tuples_g2(m, maxlen)
+                == search_push_tuples_g2(m, maxlen, prune=False))
+    for g, maxlen in ((2, 8), (3, 6)):
+        m = model_of(g)
+        balanced = [w for w in reduced_b_words(m, maxlen)
+                    if all(sum(x == y for x in w.letters)
+                           == sum(x == -y for x in w.letters)
+                           for y in range(g + 1, 2 * g + 1))]
+        assert len(balanced) > 100
+        assert list(reduced_b_words(m, maxlen, balanced=True)) == balanced
