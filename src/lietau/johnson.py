@@ -10,7 +10,7 @@ phi(x) x^-1; tau_k is eta^-1 after the defect-class homomorphism sigma.
 from .errors import (DepthTooShallowError, PreconditionError,
                      RelationViolatedError, WeightTooLowError)
 from .lie import LieElement
-from .magnus import lie_class_at, weight_of
+from .magnus import leading_class, weight_of
 from .surface import surface_class
 from .words import GroupEndomorphism, Word
 
@@ -172,18 +172,6 @@ def jprime_depth(f, cap=DEFAULT_CAP):
     return best
 
 
-def _require_depth(f, k):
-    if k < 1:
-        raise PreconditionError("weight must be >= 1")
-    if k >= 2:
-        for i in range(len(f.model.alphabet)):
-            w = weight_of(f.defect(i), k - 1)
-            if w is not None:
-                raise DepthTooShallowError(
-                    "defect of generator %s has weight %d < %d"
-                    % (f.model.alphabet.names[i], w, k), weight=w)
-
-
 class HomValue:
     """A homomorphism from homology to the weight-k layer, on basis classes."""
 
@@ -284,22 +272,34 @@ class TauValue:
             self.k, "free" if self.free else "reduced", inner or "0")
 
 
-def _defect_class(f, index, k, reduced):
-    e = lie_class_at(f.defect(index), k)
-    if reduced:
-        e = f.model.symplectic_ideal().reduce(e).vector
-    return e
+def _defect_classes(f, k):
+    """Free weight-k class of every generator defect, in generator order.
+
+    Raises DepthTooShallowError for the first defect with a nonzero term in
+    a degree below k; the class and that check come from one expansion.
+    """
+    if k < 1:
+        raise PreconditionError("weight must be >= 1")
+    out = []
+    for i, name in enumerate(f.model.alphabet.names):
+        w, e = leading_class(f.defect(i), k)
+        if w is not None:
+            raise DepthTooShallowError(
+                "defect of generator %s has weight %d < %d" % (name, w, k),
+                weight=w)
+        out.append(e)
+    return out
 
 
 def sigma(f, k, free=False):
     """[x] -> class of phi(x) x^-1 in the weight-k layer of the closed
     surface, or of the free Lie ring when free is set."""
     f.check_invertible()
-    _require_depth(f, k)
-    n = len(f.model.alphabet)
-    return HomValue(f.model, k,
-                    {m: _defect_class(f, m, k, reduced=not free) for m in range(n)},
-                    reduced=not free)
+    classes = _defect_classes(f, k)
+    if not free:
+        ideal = f.model.symplectic_ideal()
+        classes = [ideal.reduce(e).vector for e in classes]
+    return HomValue(f.model, k, dict(enumerate(classes)), reduced=not free)
 
 
 def _omega_basis(g, i, m):
@@ -361,11 +361,10 @@ def point_push_tau(model, lambdas, k):
     for i in range(g):
         if not lams[i]:
             continue
-        w = weight_of(lams[i], k - 1) if k >= 2 else None
+        w, e = leading_class(lams[i], k)
         if w is not None:
             raise WeightTooLowError(
                 "push word %d has weight %d < %d" % (i + 1, w, k), weight=w)
-        e = lie_class_at(lams[i], k)
         e = ideal.reduce(e).vector
         if not e.is_zero():
             terms[g + i] = -e

@@ -153,6 +153,16 @@ def series_commutator(su, sv):
     return su * sv * su.inverse() * sv.inverse()
 
 
+def _has_degree_one(w):
+    """Whether some exponent sum of w is nonzero.  Degree 1 is the
+    abelianization, read off without series arithmetic."""
+    ab = {}
+    for x in w.letters:
+        i = abs(x) - 1
+        ab[i] = ab.get(i, 0) + (1 if x > 0 else -1)
+    return any(ab.values())
+
+
 def weight_of(w, cap):
     """Least k <= cap with a nonzero degree-k term, or None when there is none.
 
@@ -161,12 +171,7 @@ def weight_of(w, cap):
     """
     if not w.letters or cap < 1:
         return None
-    # Degree 1 is the abelianization; read it off without series arithmetic.
-    ab = {}
-    for x in w.letters:
-        i = abs(x) - 1
-        ab[i] = ab.get(i, 0) + (1 if x > 0 else -1)
-    if any(ab.values()):
+    if _has_degree_one(w):
         return 1
     for m in range(2, cap + 1):
         s = magnus(w, m)
@@ -251,6 +256,23 @@ def component_to_lie(component, k, n):
     return out
 
 
+def leading_class(w, k):
+    """(low, None) when w's expansion has a nonzero term in some degree
+    below k, low the least of them; otherwise (None, the class of w in the
+    weight-k layer of the free Lie ring).
+
+    One cap-k expansion gives both, since it is exact in every degree below
+    the cap; a nonzero exponent sum gives low = 1 without expanding.
+    """
+    if k >= 2 and _has_degree_one(w):
+        return 1, None
+    s = magnus(w, k)
+    low = s.min_positive_degree()
+    if low is not None and low < k:
+        return low, None
+    return None, component_to_lie(s.degree_component(k), k, len(w.alphabet))
+
+
 def lie_class_at(w, k, cap=None):
     """Class of a word in the weight-k layer of the free Lie ring.
 
@@ -260,14 +282,12 @@ def lie_class_at(w, k, cap=None):
     """
     if cap is not None and k > cap:
         raise PreconditionError("weight %d exceeds cap %d" % (k, cap))
-    s = magnus(w, k)
-    low = s.min_positive_degree()
-    if low is not None and low < k:
+    low, e = leading_class(w, k)
+    if low is not None:
         raise PreconditionError(
             "word has a nonzero degree-%d term, so it is not in F_%d" % (low, k),
             weight=low)
-    n = len(w.alphabet)
-    return component_to_lie(s.degree_component(k), k, n)
+    return e
 
 
 def induced_lie_map(phi, e, cap):

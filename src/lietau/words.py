@@ -13,6 +13,18 @@ splices the rest in, so these results come out reduced without a second
 pass.  `Word(alphabet, letters)` reduces and range-checks any letter
 sequence; `Word._reduced` trusts its letters and is only fed results of
 `_append` on validated Words.
+
+An appended inverse is either read from a tuple of negated letters or
+negated as it is read.  `GroupEndomorphism.compose` appends each image of
+self once per letter of other's images, so it negates every image of
+self once, up front, and all its junctions only slice (a slice extend
+takes about 4 ns a letter, a negating one 27 ns, Python 3.11), and the
+composite shares its int objects with those tuples instead of holding a
+fresh one for each negated letter.  `apply`, `*` and `~` negate on the
+fly, because each image is appended there about once (the relator check
+applies a 4g-letter word to the images); caching the inverses in `apply`
+left the time of composing two depth-3 genus-3 braids and checking the
+relator unchanged but raised its peak RSS from 103 to 174 MB.
 """
 
 from itertools import islice
@@ -76,13 +88,20 @@ def surface_alphabet(genus):
                     + ["b%d" % i for i in range(1, genus + 1)])
 
 
-def _append(out, img, sign):
+def _append(out, img, sign, inv=None):
     """Append the reduced letter tuple img (sign > 0) or its inverse
-    (sign < 0) to the reduced letter list out, cancelling at the junction."""
+    (sign < 0) to the reduced letter list out, cancelling at the junction.
+
+    inv, if given, is img's inverse as a tuple; then the junction only
+    slices.  Without it the letters of the inverse are negated on the fly.
+    """
+    # fwd is the appended word and back its inverse; None means "negate the
+    # other one as it is read"
+    fwd, back = (img, inv) if sign > 0 else (inv, img)
     n, m = len(out), len(img)
     lim = n if n < m else m
     c = 0
-    if lim and out[-1] == (-img[0] if sign > 0 else img[-1]):
+    if lim and out[-1] == (back[-1] if back is not None else -fwd[0]):
         # out[n-e:n-c] cancels against letters c..e-1 of the appended word;
         # that holds for every e up to the cancelled length and for none
         # beyond it, so gallop up by doubling steps, then halve back down
@@ -92,9 +111,9 @@ def _append(out, img, sign):
             if e > lim:
                 e = lim
             if e > c and (
-                    out[n - e:n - c] == list(map(neg, reversed(img[c:e])))
-                    if sign > 0 else
-                    tuple(out[n - e:n - c]) == img[m - e:m - c]):
+                    tuple(out[n - e:n - c]) == back[m - e:m - c]
+                    if back is not None else
+                    out[n - e:n - c] == list(map(neg, reversed(fwd[c:e])))):
                 c = e
                 if grow:
                     step *= 2
@@ -102,10 +121,21 @@ def _append(out, img, sign):
                 grow = False
                 step //= 2
     del out[n - c:]
-    if sign > 0:
-        out.extend(islice(img, c, None))
+    if fwd is not None:
+        out.extend(fwd[c:])
     else:
-        out.extend(map(neg, islice(reversed(img), c, None)))
+        out.extend(map(neg, islice(reversed(back), c, None)))
+
+
+def _substitute(fwd, inv, letters):
+    """The reduced letter list of the word letters with each +i read as the
+    tuple fwd[i-1] and each -i as its inverse inv[i-1] (None: negate fwd[i-1]
+    on the fly)."""
+    out = []
+    for x in letters:
+        i = abs(x) - 1
+        _append(out, fwd[i], x, inv[i])
+    return out
 
 
 def _reduce_letters(letters):
@@ -224,7 +254,12 @@ class GroupEndomorphism:
 
     @staticmethod
     def from_dict(alphabet, image_map):
-        """Build from {name: Word}; omitted generators map to themselves."""
+        """Build from {name: Word}; omitted generators map to themselves.
+        A name outside the alphabet raises UnknownGeneratorError."""
+        for nm in image_map:
+            if nm not in alphabet.index:
+                raise UnknownGeneratorError("unknown generator %r" % (nm,),
+                                            alphabet=alphabet.names)
         images = []
         for i, nm in enumerate(alphabet.names):
             images.append(image_map.get(nm, Word(alphabet, (i + 1,))))
@@ -238,19 +273,28 @@ class GroupEndomorphism:
         return hash((self.alphabet, self.images))
 
     def apply(self, w):
-        """Homomorphic image of w, freely reduced."""
+        """Homomorphic image of w, freely reduced; inverse images are
+        negated on the fly (see the module docstring)."""
         if w.alphabet != self.alphabet:
             raise UnknownGeneratorError("word over a different alphabet")
-        images = self.images
-        out = []
-        for x in w.letters:
-            _append(out, images[abs(x) - 1].letters, x)
-        return Word._reduced(self.alphabet, out)
+        fwd = [v.letters for v in self.images]
+        return Word._reduced(
+            self.alphabet, _substitute(fwd, (None,) * len(fwd), w.letters))
 
     def compose(self, other):
-        """self after other: (self.compose(other))(w) == self(other(w))."""
-        return GroupEndomorphism(self.alphabet,
-                                 [self.apply(w) for w in other.images])
+        """self after other: (self.compose(other))(w) == self(other(w)).
+
+        Every image of self is appended at every letter of other's images,
+        so each is negated once here and the junctions only slice; `apply`
+        negates on the fly instead (see the module docstring).
+        """
+        if other.alphabet != self.alphabet:
+            raise UnknownGeneratorError("word over a different alphabet")
+        fwd = [v.letters for v in self.images]
+        inv = [tuple(map(neg, reversed(t))) for t in fwd]
+        return GroupEndomorphism(self.alphabet, [
+            Word._reduced(self.alphabet, _substitute(fwd, inv, w.letters))
+            for w in other.images])
 
     def __repr__(self):
         parts = ("%s->%s" % (nm, word_to_str(w) or "1")

@@ -148,6 +148,39 @@ def test_sigma_depth_guard(model_of, g3_braids):
         tau(boundary_twist(m), 4)
 
 
+def test_depth_guard_error_objects(model_of, g3_braids):
+    # each guard names the first failing generator or push word, in order,
+    # with the least degree below k where its expansion is nonzero
+    m = model_of(3)
+    c, d, b23 = g3_braids["c"], g3_braids["d"], g3_braids["b23"]
+
+    def error_of(fn, *args):
+        try:
+            fn(*args)
+        except (DepthTooShallowError, WeightTooLowError) as e:
+            return e.to_json()
+        raise AssertionError("no error")
+
+    def shallow(gen, w, k):
+        return {"error": "depth-too-shallow",
+                "message": "defect of generator %s has weight %d < %d" % (gen, w, k),
+                "details": {"weight": str(w)}}
+
+    def low(i, w, k):
+        return {"error": "weight-too-low",
+                "message": "push word %d has weight %d < %d" % (i, w, k),
+                "details": {"weight": str(w)}}
+
+    assert error_of(sigma, c.fwd, 3) == shallow("a1", 2, 3)
+    assert error_of(sigma, d.fwd, 4) == shallow("a1", 3, 4)
+    assert error_of(tau1, d.fwd, 5) == shallow("a1", 3, 5)
+    # a1 is fixed by b23, so a2 is the first defect named
+    assert error_of(sigma, b23.fwd, 2) == shallow("a2", 1, 2)
+    assert error_of(point_push_tau, m, push_tuple_of(c.fwd), 3) == low(1, 2, 3)
+    assert error_of(point_push_tau, m, push_tuple_of(d.fwd), 4) == low(1, 3, 4)
+    assert error_of(point_push_tau, m, push_tuple_of(b23.fwd), 2) == low(2, 1, 2)
+
+
 def test_braid_sigma_columns(model_of, g3_braids):
     # alpha_i goes to the class of lambda_i, beta_i to zero
     m = model_of(3)

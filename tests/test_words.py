@@ -205,3 +205,91 @@ def test_kernel_on_a_long_word():
     check_reduced_result(w * ~cut, reference_reduce(
         w.letters + reference_inverse(cut.letters)))
     check_reduced_result(~w * w, ())
+
+
+def block_word(rng, length):
+    """A reduced word of about the given length: runs of r and s letters
+    between short runs of p, q and s.  Under the phi of the tests below, r is
+    a letter, s is erased and p, q are long conjugates by one stem, so two p/q
+    letters with only s letters between them meet in a junction that
+    cancels the whole stem on both sides."""
+    out = []
+    while len(out) < length:
+        if rng.random() < 0.5:
+            pool, size = (3, 4), rng.randint(60, 140)
+        else:
+            pool, size = (1, 2, 4), rng.randint(1, 4)
+        for _ in range(size):
+            out.append(rng.choice(pool) * rng.choice([1, -1]))
+    return Word(AB4, out)
+
+
+def long_conjugates(rng):
+    # conjugators of about 2060-2100 letters sharing one stem: a p/q junction
+    # cancels over 2^12 letters in all, and p s p^-1 cancels a whole image
+    stem = random_reduced(rng, 2060)
+    conj = []
+    for i in (0, 1):
+        u = stem * random_reduced(rng, 40)
+        conj.append(u * Word(AB4, (i + 1,)) * ~u)
+    return conj
+
+
+def check_compose(phi, psi):
+    both = phi.compose(psi)
+    for img, inner in zip(both.images, psi.images):
+        assert img == phi.apply(inner)
+        check_reduced_result(img, reference_apply(phi.images, inner.letters))
+    return both
+
+
+def test_compose_on_long_conjugate_images():
+    rng = random.Random(5)
+    p, q = long_conjugates(rng)
+    assert all(3900 < len(w) < 4300 for w in (p, q))
+    phi = GroupEndomorphism(AB4, [p, q, Word(AB4, (3,)), Word(AB4)])
+    psi = GroupEndomorphism(AB4, [block_word(rng, 12000), block_word(rng, 12000),
+                                  Word(AB4), Word(AB4, (-2,))])
+    both = check_compose(phi, psi)
+    assert both.images[2] == Word(AB4)
+    assert both.images[3] == ~q
+
+
+def test_compose_junction_cancels_all_of_out():
+    rng = random.Random(6)
+    p, q = long_conjugates(rng)
+    # r's image starts with all of p's inverse and s's image ends with all
+    # of p, so after a p the junction of r or of s^-1 cancels all of out
+    y = z = Word(AB4)
+    while len(~p * y) != len(p) + 30:
+        y = random_reduced(rng, 30)
+    while len(z * p) != len(p) + 30:
+        z = random_reduced(rng, 30)
+    phi = GroupEndomorphism(AB4, [p, q, ~p * y, z * p])
+    for first in ((1, 3), (1, -4), (-3, -1), (4, -1)):
+        tails = [random_reduced(rng, 20) for _ in range(3)]
+        psi = GroupEndomorphism(AB4, [Word(AB4, first) * t for t in tails]
+                                + [Word(AB4, first)])
+        check_compose(phi, psi)
+
+
+def test_conjugations_compose_to_identity():
+    rng = random.Random(7)
+    ident = GroupEndomorphism.identity(AB4)
+    for length in (1, 50, 400):
+        u = random_reduced(rng, length)
+        by_u, by_inv = (GroupEndomorphism(AB4, [v * Word(AB4, (i + 1,)) * ~v
+                                                for i in range(len(AB4))])
+                        for v in (u, ~u))
+        assert by_u.compose(by_inv) == ident
+        assert by_inv.compose(by_u) == ident
+
+
+def test_from_dict_refuses_unknown_names():
+    sa = surface_alphabet(2)
+    b1 = sa.generator("b1")
+    with pytest.raises(UnknownGeneratorError, match="'zz'"):
+        GroupEndomorphism.from_dict(sa, {"zz": b1})
+    with pytest.raises(UnknownGeneratorError, match="'zz'"):
+        GroupEndomorphism.from_dict(sa, {"a1": b1, "zz": b1})
+    assert GroupEndomorphism.from_dict(sa, {"a1": b1}).images[0] == b1
