@@ -15,12 +15,20 @@ vector with a leaf, lies in a single block.  For generators that are single
 letters the block is the plain multidegree; for the symplectic class it is
 the torus weight.  This keeps the row reduction small even at weight 6 on six
 letters.
+
+Block lattices are built without combination tracking; only `solve_in_span`
+needs the combinations.  The first time it reads a block, that block's
+tracked lattice is built by re-inserting, in tag order, the kept vectors
+that changed that block's lattice.  This gives exactly the rows and
+combinations of tracking every insertion at build time: a vector that left
+a block's lattice unchanged reduced away there by exact divisions, which
+touch neither the rows nor their combinations.
 """
 
 import threading
 
 from .hall import hall_basis, witt
-from .intlinalg import IntLattice, smith_divisors
+from .intlinalg import IntLattice
 from .lie import LieElement, bracket
 from .words import Word, commutator
 
@@ -56,8 +64,8 @@ class QuotientClass:
 
 
 class _Level:
-    __slots__ = ("vectors", "lifts", "blocks", "columns", "lattices", "rank",
-                 "torsion")
+    __slots__ = ("vectors", "lifts", "blocks", "columns", "lattices", "members",
+                 "tracked", "rank", "torsion")
 
     def __init__(self):
         self.vectors = []       # LieElement, an independent set
@@ -66,6 +74,10 @@ class _Level:
         self.blocks = {}        # block key -> its basic commutators, Hall order
         self.columns = {}       # basic commutator -> (block key, column)
         self.lattices = {}      # block key -> IntLattice over that block
+        self.members = {}       # block key -> tags of the vectors that
+                                # changed its lattice, ascending
+        self.tracked = {}       # block key -> its IntLattice with combinations,
+                                # built on the block's first solve_in_span
         self.rank = 0
         self.torsion = ()
 
@@ -116,8 +128,12 @@ class GradedIdeal:
 
     def _build_level(self, k):
         lv = _Level()
+        keys = {}               # multidegree -> block key
         for t in hall_basis(k, self.n):
-            key = tuple(self._grading.reduce_mod(_leaf_counts(t, self.n)))
+            key = keys.get(t.mdeg)
+            if key is None:
+                key = keys[t.mdeg] = tuple(self._grading.reduce_mod(
+                    _leaf_counts(t, self.n)))
             block = lv.blocks.setdefault(key, [])
             lv.columns[t] = key, len(block)
             block.append(t)
@@ -132,13 +148,8 @@ class GradedIdeal:
                     if not bv.is_zero():
                         self._insert(lv, bv, (tag, i))
         lv.rank = sum(lat.rank for lat in lv.lattices.values())
-        divisors = []
-        for lat in lv.lattices.values():
-            # echelon rows with unit pivots span a direct summand: no torsion
-            if any(row[j] > 1 for row, j in zip(lat.rows, lat.pivots)):
-                divisors.extend(d for d in smith_divisors(lat.matrix())
-                                if d != 1)
-        lv.torsion = tuple(sorted(divisors))
+        lv.torsion = tuple(sorted(d for lat in lv.lattices.values()
+                                  for d in lat.torsion()))
         return lv
 
     def _lift(self, k, tag):
@@ -154,29 +165,44 @@ class GradedIdeal:
 
     @staticmethod
     def _split(lv, e):
-        """e's coordinates block by block: {block key: coordinate vector}."""
+        """e's coordinates block by block: {block key: {column: coeff}}."""
         out = {}
         for t, c in e.terms.items():
             key, i = lv.columns[t]
             vec = out.get(key)
             if vec is None:
-                vec = out[key] = [0] * len(lv.blocks[key])
+                vec = out[key] = {}
             vec[i] = c
         return out
 
     def _insert(self, lv, e, lift):
         """Keep e, with its lift or lift recipe, iff it enlarges the span
         lattice, so the kept lifts always generate it over the integers."""
-        tag = len(lv.vectors)
-        changed = False
+        changed = []
         for key, vec in self._split(lv, e).items():
             lat = lv.lattices.get(key)
             if lat is None:
-                lat = lv.lattices[key] = IntLattice(len(vec), track=True)
-            changed |= lat.add(vec, tag)
+                lat = lv.lattices[key] = IntLattice(len(lv.blocks[key]))
+            if lat.add(vec):
+                changed.append(key)
         if changed:
+            tag = len(lv.vectors)
+            for key in changed:
+                lv.members.setdefault(key, []).append(tag)
             lv.vectors.append(e)
             lv.lifts.append(lift)
+
+    def _tracked(self, lv, key):
+        """Block `key`'s lattice with combinations, built on first use from
+        its members in tag order (see the module docstring)."""
+        with self._lock:
+            lat = lv.tracked.get(key)
+            if lat is None:
+                lat = IntLattice(len(lv.blocks[key]), track=True)
+                for tag in lv.members[key]:
+                    lat.add(self._split(lv, lv.vectors[tag])[key], tag)
+                lv.tracked[key] = lat
+            return lat
 
     def span(self, k):
         """The independent spanning set [(LieElement, lift)] at weight k.
@@ -202,7 +228,8 @@ class GradedIdeal:
             lat = lv.lattices.get(key)
             if lat is not None:
                 vec = lat.reduce_mod(vec)
-            terms.extend(zip(lv.blocks[key], vec))
+            block = lv.blocks[key]
+            terms.extend((block[i], c) for i, c in vec.items())
         return QuotientClass(k, LieElement(k, terms), self.quotient_rank(k),
                              lv.torsion)
 
@@ -216,8 +243,8 @@ class GradedIdeal:
         lv = self.level(k)
         acc = {}
         for key, vec in self._split(lv, e).items():
-            lat = lv.lattices.get(key)
-            combo = None if lat is None else lat.member_combo(vec)
+            combo = (None if key not in lv.members
+                     else self._tracked(lv, key).member_combo(vec))
             if combo is None:
                 return None
             for tag, c in combo.items():

@@ -1,12 +1,32 @@
-"""Exact integer and rational linear algebra at desk scale.
+"""Exact integer linear algebra at desk scale.
 
-Everything here is hand-rolled over Python ints and Fractions: xgcd-pivot
-echelon lattices with membership and combination tracking, Hermite and Smith
-forms, Bareiss determinants, and characteristic polynomials.
+Everything here is hand-rolled over Python ints; no Fraction is needed.
+`IntLattice` keeps a row lattice in echelon form with xgcd pivots, with
+membership, canonical coset representatives, torsion and, on request,
+combination tracking.  Besides it: Hermite and Smith forms, Bareiss
+determinants and characteristic polynomials (Faddeev-LeVerrier, whose
+traces divide exactly).  Fractions remain only outside this module: in the
+block solver of `magnus` and in the number-field arithmetic of `symplectic`,
+which is rational by nature.
+
+Lattice rows are sparse: each is a {column: value} dict without zeros, keyed
+by its pivot column.  Insertion reduces a vector at its least nonzero column,
+by exact division when the pivot divides it and by an xgcd step otherwise,
+so the rows are exactly those of dense echelon elimination in column order;
+bracket vectors fill few columns of their block, and so do the rows.
+
+Torsion skips the unit pivots (Cohen, GTM 138, section 2.4; Dumas, Saunders
+and Villard, J. Symbolic Comput. 32, 2001).  The rows with pivot 1 span a
+direct summand: reducing every other row by them, in ascending pivot order,
+clears their pivot columns, and column operations then clear the rest of
+the unit rows, so Z^N/L = Z^(N-u)/L' with L' spanned by the reduced non-unit
+rows restricted to the other columns.  The Smith form runs on that small
+matrix only.
 """
 
-from bisect import bisect_left
-from fractions import Fraction
+from bisect import insort
+
+from .errors import InternalFault
 
 
 def xgcd(a, b):
@@ -24,35 +44,63 @@ def xgcd(a, b):
     return x, y, g
 
 
+def _sparse(vec, n):
+    """A fresh {column: value} copy of vec without zeros; vec is such a dict
+    or a dense sequence of length n."""
+    if isinstance(vec, dict):
+        return {j: v for j, v in vec.items() if v}
+    if len(vec) != n:
+        raise ValueError("vector length %d != %d" % (len(vec), n))
+    return {j: v for j, v in enumerate(vec) if v}
+
+
+def _dense(vec, n):
+    """The {column: value} dict vec as a dense list of length n."""
+    out = [0] * n
+    for j, v in vec.items():
+        out[j] = v
+    return out
+
+
+def _addmul(dst, src, factor):
+    """dst += factor * src on {key: int} dicts, dropping zeros."""
+    for key, c in src.items():
+        v = dst.get(key, 0) + factor * c
+        if v:
+            dst[key] = v
+        else:
+            dst.pop(key, None)
+
+
+def _lincomb(x, u, y, v):
+    """x*u + y*v as a new {key: int} dict without zeros."""
+    out = {key: x * c for key, c in u.items()} if x else {}
+    if y:
+        _addmul(out, v, y)
+    return out
+
+
 class IntLattice:
     """Row lattice in Z^N kept in echelon form with positive pivots.
 
-    Insertion uses xgcd pivot combination, so the stored rows always form a
-    basis of the lattice generated by everything inserted so far.  When
-    ``track`` is set, every row carries its expression as an integer
-    combination of the inserted vectors (by tag).
+    ``pivots`` lists the pivot columns in ascending order and ``rows`` maps
+    each to its sparse row.  Vectors are given as dense sequences or as
+    {column: value} dicts.  Insertion uses xgcd pivot combination, so the
+    rows always form a basis of the lattice generated by everything inserted
+    so far.  When ``track`` is set, ``combos`` maps each pivot column to its
+    row's expression as an integer combination of the inserted vectors (by
+    tag).
     """
 
     def __init__(self, ncols, track=False):
         self.N = ncols
-        self.rows = []
-        self.combos = [] if track else None
-        self.pivots = []          # pivot column of each row, ascending
-        self._pivot_row = {}      # pivot column -> row index
+        self.rows = {}            # pivot column -> {column: value}
+        self.combos = {} if track else None
+        self.pivots = []          # ascending
 
     @property
     def rank(self):
-        return len(self.rows)
-
-    def _addmul_combo(self, dst, src, factor):
-        if self.combos is None:
-            return
-        for tag, c in src.items():
-            v = dst.get(tag, 0) + factor * c
-            if v:
-                dst[tag] = v
-            else:
-                dst.pop(tag, None)
+        return len(self.pivots)
 
     def add(self, vec, tag=None):
         """Insert a vector; returns True when the lattice changed.
@@ -61,58 +109,55 @@ class IntLattice:
         shrinks the index (the vector was not already a member); a vector
         already in the lattice reduces away by exact divisions only.
         """
-        vec = list(vec)
-        if len(vec) != self.N:
-            raise ValueError("vector length %d != %d" % (len(vec), self.N))
-        combo = {tag: 1} if self.combos is not None else None
+        vec = _sparse(vec, self.N)
+        rows, combos = self.rows, self.combos
+        combo = {tag: 1} if combos is not None else None
         changed = False
-        j = 0
-        while j < self.N:
-            if not vec[j]:
-                j += 1
-                continue
-            p = self._pivot_row.get(j)
-            if p is None:
+        while vec:
+            j = min(vec)
+            row = rows.get(j)
+            if row is None:
                 if vec[j] < 0:
-                    vec = [-v for v in vec]
+                    vec = {c: -v for c, v in vec.items()}
                     if combo is not None:
                         combo = {t: -c for t, c in combo.items()}
-                where = bisect_left(self.pivots, j)
-                self.rows.insert(where, vec)
-                self.pivots.insert(where, j)
-                if self.combos is not None:
-                    self.combos.insert(where, combo)
-                self._pivot_row = {c: i for i, c in enumerate(self.pivots)}
+                rows[j] = vec
+                insort(self.pivots, j)
+                if combos is not None:
+                    combos[j] = combo
                 return True
-            row = self.rows[p]
             a, b = row[j], vec[j]
             if b % a == 0:
                 q = b // a
-                for jj in range(j, self.N):
-                    vec[jj] -= q * row[jj]
+                _addmul(vec, row, -q)
                 if combo is not None:
-                    rc = self.combos[p]
-                    self._addmul_combo(combo, rc, -q)
+                    _addmul(combo, combos[j], -q)
             else:
                 changed = True
                 x, y, g = xgcd(a, b)
                 ag, bg = a // g, b // g
-                for jj in range(j, self.N):
-                    ra, va = row[jj], vec[jj]
-                    row[jj] = x * ra + y * va
-                    vec[jj] = -bg * ra + ag * va
+                rows[j] = _lincomb(x, row, y, vec)
+                vec = _lincomb(-bg, row, ag, vec)
                 if combo is not None:
-                    rc = self.combos[p]
-                    new_rc = {}
-                    self._addmul_combo(new_rc, rc, x)
-                    self._addmul_combo(new_rc, combo, y)
-                    new_combo = {}
-                    self._addmul_combo(new_combo, rc, -bg)
-                    self._addmul_combo(new_combo, combo, ag)
-                    self.combos[p] = new_rc
-                    combo = new_combo
-            j += 1
+                    rc = combos[j]
+                    combos[j] = _lincomb(x, rc, y, combo)
+                    combo = _lincomb(-bg, rc, ag, combo)
         return changed
+
+    def _divide_out(self, vec, acc):
+        """Whether exact pivot divisions take vec to zero; the quotients'
+        combinations are added into acc unless it is None."""
+        rows = self.rows
+        while vec:
+            j = min(vec)
+            row = rows.get(j)
+            if row is None or vec[j] % row[j]:
+                return False
+            q = vec[j] // row[j]
+            _addmul(vec, row, -q)
+            if acc is not None:
+                _addmul(acc, self.combos[j], q)
+        return True
 
     def member_combo(self, vec):
         """If vec is in the lattice, an {tag: coeff} expression for it; else None.
@@ -121,52 +166,53 @@ class IntLattice:
         """
         if self.combos is None:
             raise ValueError("lattice built without tracking")
-        vec = list(vec)
         acc = {}
-        for j in range(self.N):
-            if not vec[j]:
-                continue
-            p = self._pivot_row.get(j)
-            if p is None:
-                return None
-            a = self.rows[p][j]
-            if vec[j] % a:
-                return None
-            q = vec[j] // a
-            row = self.rows[p]
-            for jj in range(j, self.N):
-                vec[jj] -= q * row[jj]
-            self._addmul_combo(acc, self.combos[p], q)
-        return acc
+        return acc if self._divide_out(_sparse(vec, self.N), acc) else None
 
     def contains(self, vec):
-        vec = list(vec)
-        for j in range(self.N):
-            if not vec[j]:
-                continue
-            p = self._pivot_row.get(j)
-            if p is None or vec[j] % self.rows[p][j]:
-                return False
-            q = vec[j] // self.rows[p][j]
-            row = self.rows[p]
-            for jj in range(j, self.N):
-                vec[jj] -= q * row[jj]
-        return True
+        return self._divide_out(_sparse(vec, self.N), None)
 
     def reduce_mod(self, vec):
-        """Canonical coset representative: floor-reduce at each pivot column."""
-        vec = list(vec)
-        for i, j in enumerate(self.pivots):
-            if vec[j]:
-                q = vec[j] // self.rows[i][j]
+        """Canonical coset representative, of the kind vec was given as
+        (dense or a dict): floor-reduce at each pivot column, left to right."""
+        out = _sparse(vec, self.N)
+        rows = self.rows
+        for j in self.pivots:
+            v = out.get(j)
+            if v:
+                q = v // rows[j][j]
                 if q:
-                    row = self.rows[i]
-                    for jj in range(j, self.N):
-                        vec[jj] -= q * row[jj]
-        return vec
+                    _addmul(out, rows[j], -q)
+        return out if isinstance(vec, dict) else _dense(out, self.N)
+
+    def torsion(self):
+        """The Smith divisors of Z^N / L other than 1, ascending.
+
+        Every non-unit row is reduced by the unit-pivot rows in ascending
+        pivot order, and the Smith form runs on those rows alone, over the
+        columns they still touch (see the module docstring).
+        """
+        rows = self.rows
+        units = [j for j in self.pivots if rows[j][j] == 1]
+        rest = []
+        for j in self.pivots:
+            if rows[j][j] == 1:
+                continue
+            vec = dict(rows[j])
+            for u in units:
+                v = vec.get(u)
+                if v:
+                    _addmul(vec, rows[u], -v)
+            rest.append(vec)
+        if not rest:
+            return []
+        cols = sorted(set().union(*rest))
+        return sorted(d for d in smith_divisors(
+            [[r.get(c, 0) for c in cols] for r in rest]) if d != 1)
 
     def matrix(self):
-        return [row[:] for row in self.rows]
+        """The rows as dense lists, in pivot order."""
+        return [_dense(self.rows[j], self.N) for j in self.pivots]
 
 
 def smith_divisors(rows):
@@ -271,24 +317,26 @@ def bareiss_det(mat):
 
 
 def charpoly(mat):
-    """Coefficients [1, c_{n-1}, ..., c_0] of det(xI - M), exact integers."""
+    """Coefficients [1, c_{n-1}, ..., c_0] of det(xI - M) for an integer M.
+
+    Faddeev-LeVerrier: with M_1 = I, c_{n-k} = -tr(M M_k) / k and
+    M_{k+1} = M M_k + c_{n-k} I.  Every M_k is an integer matrix and k
+    divides tr(M M_k), so an inexact division is an internal fault.
+    """
     n = len(mat)
-    m = [[Fraction(v) for v in row] for row in mat]
-    coeffs = [Fraction(1)]
-    mk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    coeffs = [1]
+    mk = identity_matrix(n)
     for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
+        mk = mat_mul(mat, mk)
         tr = sum(mk[i][i] for i in range(n))
-        c = -tr / k
+        if tr % k:
+            raise InternalFault("characteristic polynomial trace not "
+                                "divisible by its index", k=k, trace=tr)
+        c = -(tr // k)
         coeffs.append(c)
         for i in range(n):
             mk[i][i] += c
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise AssertionError("non-integer characteristic coefficient")
-        out.append(int(c))
-    return out
+    return coeffs
 
 
 def mat_mul(a, b):

@@ -12,7 +12,7 @@ from lietau.ideals import GradedIdeal
 from lietau.intlinalg import IntLattice, smith_divisors
 from lietau.lie import LieElement, bracket
 from lietau.magnus import lie_class_at
-from lietau.words import Alphabet, Word
+from lietau.words import Alphabet, Word, commutator
 
 
 def test_symplectic_span_weight_two(model_of):
@@ -145,13 +145,71 @@ def test_solve_in_span_builds_only_its_lifts():
     assert [lift for _, lift in combo] == [ideal.span(4)[3][1], ideal.span(4)[7][1]]
 
 
+def test_blocks_are_the_grading_classes(model_of):
+    # handlebody generators are letters, so its blocks are multidegrees; the
+    # symplectic class sums [a_i, b_i], so its blocks are the torus weights
+    # (count of a_i minus count of b_i, for each i)
+    g = 2
+    m = model_of(g)
+
+    def torus(t):
+        w = [0] * g
+        for i in t.mdeg:
+            w[i % g] += 1 if i < g else -1
+        return tuple(w)
+
+    for ideal, cls in ((m.handlebody_ideal(), lambda t: t.mdeg),
+                       (m.symplectic_ideal(), torus)):
+        for k in range(1, 6):
+            blocks = ideal.level(k).blocks.values()
+            classes = [{cls(t) for t in trees} for trees in blocks]
+            assert all(len(c) == 1 for c in classes)
+            assert len(set().union(*classes)) == len(classes)
+
+
+def test_tracking_on_demand_equals_tracking_at_build(model_of):
+    # track every candidate of the build as it is inserted, kept or not,
+    # tagged by the index it would get if kept; the lattices solve_in_span
+    # builds from the kept vectors that changed each block must have the
+    # same rows and combos
+    for g, kmax in ((1, 5), (2, 5)):
+        m = model_of(g)
+        for ideal in (m.symplectic_ideal(), m.handlebody_ideal()):
+            leaves = [LieElement.generator(i) for i in range(ideal.n)]
+            for k in range(1, kmax + 1):
+                lv = ideal.level(k)
+                cands = [e for e, _ in ideal.generators if e.weight == k]
+                if k > 1:
+                    cands += [bracket(v, leaf) for v in ideal.level(k - 1).vectors
+                              for leaf in leaves]
+                eager, kept = {}, 0
+                for e in cands:
+                    changed = False
+                    for key, vec in ideal._split(lv, e).items():
+                        lat = eager.setdefault(
+                            key, IntLattice(len(lv.blocks[key]), track=True))
+                        changed |= lat.add(vec, kept)
+                    kept += changed
+                assert kept == len(lv.vectors)
+                for key, lat in eager.items():
+                    ondemand = ideal._tracked(lv, key)
+                    assert ondemand.rows == lat.rows == lv.lattices[key].rows
+                    assert ondemand.combos == lat.combos
+
+
 def test_span_from_threads_is_identical():
+    # the threads race to build the level, the tracked block lattices that
+    # solve_in_span builds on first read, and the lifts
+    vecs = SurfaceModel(2).symplectic_ideal().level(5).vectors
+    targets = [vecs[i] + vecs[-1 - i].scale(3) for i in range(0, len(vecs), 7)]
     ideal = SurfaceModel(2).symplectic_ideal()
     start = threading.Barrier(4)
     spans = [None] * 4
+    solved = [None] * 4
 
     def read(i):
         start.wait()
+        solved[i] = [ideal.solve_in_span(e) for e in targets]
         spans[i] = ideal.span(5)
 
     threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
@@ -166,6 +224,8 @@ def test_span_from_threads_is_identical():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert spans[0] and all(s == spans[0] for s in spans)
+    assert all(c is not None for c in solved[0])
+    assert all(s == solved[0] for s in solved)
     # every thread got the one cached word of each lift
     assert all(a[1] is b[1] for s in spans for a, b in zip(s, spans[0]))
 
@@ -201,15 +261,44 @@ def test_torsion_from_non_unit_pivot():
     assert [ideal.level(k).torsion for k in (1, 2, 3)] == [(2,), (2,), (2, 2)]
 
 
+def _torsion_ideals():
+    """2x with [x,y] on x, y; and 2x with [x,y] + [x,z] on x, y, z, whose
+    blocks mix unit and non-unit pivots with torsion at every weight."""
+    out = []
+    for names, second in ((["x", "y"], ((0, 1),)),
+                          (["x", "y", "z"], ((0, 1), (0, 2)))):
+        ab = Alphabet(names)
+        gen = [LieElement.generator(i) for i in range(len(names))]
+        letter = [Word(ab, (i + 1,)) for i in range(len(names))]
+        e = sum((bracket(gen[i], gen[j]) for i, j in second), LieElement.zero(2))
+        lift = Word(ab, ())
+        for i, j in second:
+            lift = lift * commutator(letter[i], letter[j])
+        out.append(GradedIdeal(ab, [(gen[0].scale(2), letter[0] * letter[0]),
+                                    (e, lift)]))
+    return out
+
+
 def test_torsion_is_smith_over_every_block(model_of):
+    ideals = _torsion_ideals()
     for g in (1, 2):
         m = model_of(g)
-        for ideal in (m.symplectic_ideal(), m.handlebody_ideal()):
-            for k in range(1, 6):
-                lv = ideal.level(k)
-                direct = [d for lat in lv.lattices.values()
-                          for d in smith_divisors(lat.matrix()) if d != 1]
-                assert lv.torsion == tuple(sorted(direct))
+        ideals += [m.symplectic_ideal(), m.handlebody_ideal()]
+    mixed = 0
+    for ideal in ideals:
+        for k in range(1, 6):
+            lv = ideal.level(k)
+            direct = []
+            for lat in lv.lattices.values():
+                block = [d for d in smith_divisors(lat.matrix()) if d != 1]
+                assert lat.torsion() == sorted(block)
+                direct += block
+                pivots = {lat.rows[j][j] == 1 for j in lat.pivots}
+                mixed += bool(block) and pivots == {True, False}
+            assert lv.torsion == tuple(sorted(direct))
+    assert [ideals[0].level(k).torsion for k in (1, 2, 3)] == [(2,), (), ()]
+    assert ideals[1].level(3).torsion == (2, 2, 2)
+    assert mixed
 
 
 def labute_rank(k, g):
@@ -229,6 +318,13 @@ def test_symplectic_ranks_match_labute(model_of):
         for k in range(1, 7):
             assert ideal.quotient_rank(k) == labute_rank(k, g)
             assert ideal.level(k).torsion == ()
+
+
+def test_symplectic_genus3_weight7_matches_labute(model_of):
+    ideal = model_of(3).symplectic_ideal()
+    assert labute_rank(7, 3) == 32640
+    assert ideal.quotient_rank(7) == 32640
+    assert ideal.level(7).torsion == ()
 
 
 def whole_layer_lattice(ideal, k):

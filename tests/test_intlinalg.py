@@ -1,8 +1,11 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
+from lietau.errors import InternalFault
 from lietau.intlinalg import (IntLattice, bareiss_det, charpoly, hermite_rows,
                               hnf_with_transform, int_kernel_basis, mat_mul,
                               mat_vec, saturate_rows, smith_divisors,
@@ -74,6 +77,140 @@ def test_reduce_mod_canonical():
     r2 = lat.reduce_mod([5 - 2 * 7, -7])
     assert r1 == r2
     assert lat.reduce_mod(r1) == r1
+
+
+def _addmul(dst, src, factor):
+    for key, c in src.items():
+        v = dst.get(key, 0) + factor * c
+        if v:
+            dst[key] = v
+        else:
+            dst.pop(key, None)
+
+
+class DenseLattice:
+    """Reference: dense xgcd echelon rows with combinations, reduced column
+    by column from the left."""
+
+    def __init__(self, n):
+        self.n, self.rows, self.combos, self.pivots = n, [], [], []
+
+    def add(self, vec, tag):
+        vec, combo, changed = list(vec), {tag: 1}, False
+        for j in range(self.n):
+            if not vec[j]:
+                continue
+            if j not in self.pivots:
+                if vec[j] < 0:
+                    vec = [-v for v in vec]
+                    combo = {t: -c for t, c in combo.items()}
+                where = bisect_left(self.pivots, j)
+                self.rows.insert(where, vec)
+                self.combos.insert(where, combo)
+                self.pivots.insert(where, j)
+                return True
+            p = self.pivots.index(j)
+            row, rc = self.rows[p], self.combos[p]
+            a, b = row[j], vec[j]
+            if b % a == 0:
+                vec = [v - b // a * r for r, v in zip(row, vec)]
+                _addmul(combo, rc, -(b // a))
+                continue
+            changed = True
+            x, y, g = xgcd(a, b)
+            self.rows[p] = [x * r + y * v for r, v in zip(row, vec)]
+            vec = [-b // g * r + a // g * v for r, v in zip(row, vec)]
+            new_rc, new_combo = {}, {}
+            _addmul(new_rc, rc, x)
+            _addmul(new_rc, combo, y)
+            _addmul(new_combo, rc, -b // g)
+            _addmul(new_combo, combo, a // g)
+            self.combos[p], combo = new_rc, new_combo
+        return changed
+
+    def member_combo(self, vec):
+        vec, acc = list(vec), {}
+        for j in range(self.n):
+            if not vec[j]:
+                continue
+            if j not in self.pivots:
+                return None
+            p = self.pivots.index(j)
+            row = self.rows[p]
+            if vec[j] % row[j]:
+                return None
+            q = vec[j] // row[j]
+            vec = [v - q * r for r, v in zip(row, vec)]
+            _addmul(acc, self.combos[p], q)
+        return acc
+
+    def reduce_mod(self, vec):
+        for row, j in zip(self.rows, self.pivots):
+            q = vec[j] // row[j]
+            vec = [v - q * r for r, v in zip(row, vec)]
+        return vec
+
+
+def _vectors(rng, n, count, pool):
+    """Random vectors: sparse ones with non-unit multiples, zero vectors and
+    integer combinations of earlier vectors (of pool or of these)."""
+    out = []
+    for _ in range(count):
+        r = rng.random()
+        earlier = pool + out
+        if r < 0.3 and earlier:
+            vec = [0] * n
+            for v in rng.sample(earlier, min(3, len(earlier))):
+                c = rng.randint(-3, 3)
+                vec = [x + c * y for x, y in zip(vec, v)]
+        else:
+            scale = 0 if r < 0.35 else rng.choice((1, 1, 2, 3, 4, 6))
+            vec = [scale * rng.choice((0, 0, 0, 1, -1, 2, -3, 5))
+                   for _ in range(n)]
+        out.append(vec)
+    return out
+
+
+def test_sparse_rows_match_dense_reference():
+    rng = random.Random(2024)
+    seen = dict.fromkeys(("zero", "member", "index_shrink", "non_unit"), 0)
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        ref, lat, plain = DenseLattice(n), IntLattice(n, track=True), IntLattice(n)
+        inserted = _vectors(rng, n, rng.randint(1, 12), [])
+        for tag, vec in enumerate(inserted):
+            rank = len(ref.pivots)
+            expect = ref.add(vec, tag)
+            assert lat.add(vec, tag) is expect
+            assert plain.add(dict(enumerate(vec))) is expect
+            assert lat.matrix() == ref.rows == plain.matrix()
+            assert lat.pivots == ref.pivots == plain.pivots
+            assert [lat.combos[j] for j in lat.pivots] == ref.combos
+            seen["zero"] += not any(vec)
+            seen["member"] += any(vec) and not expect
+            seen["index_shrink"] += expect and len(ref.pivots) == rank
+        seen["non_unit"] += any(row[j] > 1 for row, j in zip(ref.rows, ref.pivots))
+        for vec in _vectors(rng, n, 8, inserted):
+            combo = ref.member_combo(vec)
+            assert lat.member_combo(vec) == combo
+            assert lat.contains(vec) is plain.contains(vec) is (combo is not None)
+            dense = ref.reduce_mod(vec)
+            assert lat.reduce_mod(vec) == dense
+            assert plain.reduce_mod(dict(enumerate(vec))) == {
+                j: v for j, v in enumerate(dense) if v}
+        assert lat.torsion() == sorted(d for d in smith_divisors(lat.matrix())
+                                       if d != 1)
+    assert all(seen.values()), seen
+
+
+def test_torsion_clears_unit_columns_in_ascending_order():
+    # rows e1 + e2 and e2 have unit pivots; 2e0 + e1 must be reduced by the
+    # first and then by the second, or -e2 is left in a dropped column
+    lat = IntLattice(4)
+    for vec in ([0, 1, 1, 0], [0, 0, 1, 0], [2, 1, 0, 0]):
+        lat.add(vec)
+    assert lat.matrix() == [[2, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0]]
+    assert lat.torsion() == [2]
 
 
 def test_smith_divisors_examples():
@@ -173,6 +310,12 @@ def test_charpoly_companion():
     assert charpoly(m) == [1, 0, 0, 0, 1]
     ident = [[1, 0], [0, 1]]
     assert charpoly(ident) == [1, -2, 1]
+
+
+def test_charpoly_refuses_an_inexact_trace():
+    # integer matrices always divide exactly; a rational entry shows the guard
+    with pytest.raises(InternalFault):
+        charpoly([[Fraction(1, 2)]])
 
 
 def test_mat_helpers():

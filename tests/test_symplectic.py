@@ -239,6 +239,18 @@ def test_factor_matches_sympy_on_random_symplectic():
             assert ours == ref
 
 
+def test_charpoly_matches_sympy():
+    # integer Faddeev-LeVerrier against sympy on 200 matrices up to 8x8
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    mats = [[[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            for n in range(1, 9) for _ in range(20)]
+    mats += [_random_symplectic(g, rng) for g in (1, 2, 3, 4) for _ in range(10)]
+    for m in mats:
+        ref = sympy.Matrix(m).charpoly().all_coeffs()
+        assert charpoly(m) == [int(c) for c in ref]
+
+
 def test_factor_matches_sympy_on_large_coefficients():
     # integer roots are found by bisection, so huge coefficients stay cheap
     sympy = pytest.importorskip("sympy")
