@@ -40,12 +40,8 @@ class MappingClassData:
 
     def h1_matrix(self):
         """Induced matrix on homology; column j is the class of phi(gen j)."""
-        n = len(self.model.alphabet)
-        mat = [[0] * n for _ in range(n)]
-        for jcol, img in enumerate(self.endo.images):
-            for x in img.letters:
-                mat[abs(x) - 1][jcol] += 1 if x > 0 else -1
-        return mat
+        cols = [img.exponent_sums() for img in self.endo.images]
+        return [list(row) for row in zip(*cols)]
 
     def check_invertible(self):
         """Invertibility on every nilpotent quotient reduces to homology."""
@@ -91,12 +87,15 @@ def _as_b_word(model, w):
     plain b alphabet; return it over the surface alphabet."""
     g = model.genus
     if w.alphabet == model.alphabet:
-        if any(abs(x) <= g for x in w.letters):
+        # the a-letters are generators i < g, with the codes i and ~i
+        if any(-g <= x < g for x in set(w.buf)):
             raise PreconditionError("push words must use only b-letters")
         return w
     if len(w.alphabet) == g:
+        # code x is generator x, or ~x inverted (words.py); generator i of
+        # the b alphabet is generator g + i of the surface
         return Word(model.alphabet,
-                    tuple((abs(x) + g) * (1 if x > 0 else -1) for x in w.letters))
+                    [x + g + 1 if x >= 0 else x - g for x in w.buf])
     raise PreconditionError("push word over an unexpected alphabet")
 
 
@@ -383,25 +382,23 @@ def push_tuple_of(f):
     out = []
     for i in range(g):
         c = f.endo.images[g + i]
-        target = g + i + 1
-        # peel matched conjugating pairs: c = w b_i^e w^-1 with e = +-1
-        letters = list(c.letters)
-        lo, hi = 0, len(letters)
-        while hi - lo > 1 and letters[lo] == -letters[hi - 1]:
+        # peel matched conjugating pairs: c = w b_i^e w^-1 with e = +-1;
+        # b_i has the code g + i and a letter's inverse the code ~x (words.py)
+        target = g + i
+        buf = c.buf
+        lo, hi = 0, len(buf)
+        while hi - lo > 1 and buf[lo] == ~buf[hi - 1]:
             lo += 1
             hi -= 1
-        if hi - lo != 1 or letters[lo] != target:
+        if hi - lo != 1 or buf[lo] != target:
             return None
-        w = Word(model.alphabet, letters[:lo])
-        lam = ~w
+        lam = ~Word._reduced(model.alphabet, buf[:lo])
         # left b_i-powers do not change the conjugate; normalize to zero net
         # exponent so that deep tuples stay deep
-        net = sum(1 if x == target else -1 if x == -target else 0
-                  for x in lam.letters)
+        net = lam.buf.count(target) - lam.buf.count(~target)
         if net:
-            lam = Word(model.alphabet,
-                       (-target if net > 0 else target,) * abs(net)) * lam
-        if any(abs(x) <= g for x in lam.letters):
+            lam = model.alphabet.letter(target, -net) ** abs(net) * lam
+        if any(-g <= x < g for x in set(lam.buf)):  # an a-letter
             return None
         out.append(lam)
     return out

@@ -124,12 +124,12 @@ class MagnusSeries:
 def _magnus_cached(w, cap):
     s = MagnusSeries.one(cap)
     by_deg = [s.coeffs] + [{} for _ in range(cap)]
-    for x in w.letters:
-        i = (abs(x) - 1,)
+    for x in w.buf:
+        # a letter's code x names generator x, or ~x inverted (words.py);
         # +i: degree d + 1 is read before degree d adds into it (S + S X_i);
         # -i: degree d is final before it subtracts from d + 1 (S - T X_i)
-        sgn, degrees = ((1, range(cap - 1, -1, -1)) if x > 0
-                        else (-1, range(cap)))
+        i, sgn, degrees = (((x,), 1, range(cap - 1, -1, -1)) if x >= 0
+                           else ((~x,), -1, range(cap)))
         for d in degrees:
             dst = by_deg[d + 1]
             for m, c in by_deg[d].items():
@@ -153,25 +153,15 @@ def series_commutator(su, sv):
     return su * sv * su.inverse() * sv.inverse()
 
 
-def _has_degree_one(w):
-    """Whether some exponent sum of w is nonzero.  Degree 1 is the
-    abelianization, read off without series arithmetic."""
-    ab = {}
-    for x in w.letters:
-        i = abs(x) - 1
-        ab[i] = ab.get(i, 0) + (1 if x > 0 else -1)
-    return any(ab.values())
-
-
 def weight_of(w, cap):
     """Least k <= cap with a nonzero degree-k term, or None when there is none.
 
     This equals the lower-central depth of the word since the Magnus
     filtration of a free group agrees with its lower central series.
     """
-    if not w.letters or cap < 1:
+    if not w or cap < 1:
         return None
-    if _has_degree_one(w):
+    if any(w.exponent_sums()):  # degree 1, read off without series
         return 1
     for m in range(2, cap + 1):
         s = magnus(w, m)
@@ -264,7 +254,7 @@ def leading_class(w, k):
     One cap-k expansion gives both, since it is exact in every degree below
     the cap; a nonzero exponent sum gives low = 1 without expanding.
     """
-    if k >= 2 and _has_degree_one(w):
+    if k >= 2 and any(w.exponent_sums()):
         return 1, None
     s = magnus(w, k)
     low = s.min_positive_degree()

@@ -82,12 +82,10 @@ class SurfaceModel:
         """Substitute a_i -> 1, re-reading the result over the b alphabet."""
         g = self.genus
         ba = self.b_alphabet()
-        letters = []
-        for x in w.letters:
-            i = abs(x)
-            if i > g:
-                letters.append((i - g) if x > 0 else -(i - g))
-        return Word(ba, letters)
+        # code x names generator x, or ~x inverted (words.py); b_i is
+        # generator g + i here and i in ba
+        return Word(ba, [x - g + 1 if x >= 0 else x + g
+                         for x in w.buf if x >= g or x < -g])
 
     def __repr__(self):
         return "SurfaceModel(genus=%d)" % self.genus

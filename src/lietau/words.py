@@ -1,36 +1,45 @@
 """Reduced words and endomorphisms of finitely generated free groups.
 
-Letters are stored as nonzero integers: ``+i`` is the i-th generator of the
-alphabet (1-based) and ``-i`` its inverse.  Words are always freely reduced;
-all values here are immutable and safe to share between threads.
+A letter is a nonzero integer: ``+i`` is the i-th generator of the alphabet
+(1-based) and ``-i`` its inverse.  Words are always freely reduced; all
+values here are immutable and safe to share between threads.
 
-Products, inverses and endomorphism images are built by appending reduced
-words to a reduced letter list.  When both sides are reduced, all free
-cancellation happens at the junction: the appended word's prefix cancels
-against the list's suffix, and once a letter pair survives nothing further
-cancels.  `_append` finds that cancelled length with slice compares and
-splices the rest in, so these results come out reduced without a second
-pass.  `Word(alphabet, letters)` reduces and range-checks any letter
-sequence; `Word._reduced` trusts its letters and is only fed results of
-`_append` on validated Words.
+A `Word` keeps its reduced letters in one ``array('i')``, ``buf``, as codes:
+``+i`` is stored as ``i-1`` and ``-i`` as ``~(i-1)``.  A code ``s`` is thus
+generator ``s`` if ``s >= 0`` and the inverse of generator ``~s`` otherwise,
+and inverting a letter maps its code ``s`` to ``~s``, which complements
+every byte of it, whatever the int width and byte order.  So the inverse of
+a word is its buffer reversed by a slice and passed once through
+`bytes.translate` with a complementing table, about 7 ns a letter in C; with
+signed letters each one was negated in Python, about 27 ns.  `Word.letters`
+decodes the buffer to a tuple of signed ints for I/O; the hot readers in
+other modules iterate ``buf``.
 
-An appended inverse is either read from a tuple of negated letters or
-negated as it is read.  `GroupEndomorphism.compose` appends each image of
-self once per letter of other's images, so it negates every image of
-self once, up front, and all its junctions only slice (a slice extend
-takes about 4 ns a letter, a negating one 27 ns, Python 3.11), and the
-composite shares its int objects with those tuples instead of holding a
-fresh one for each negated letter.  `apply`, `*` and `~` negate on the
-fly, because each image is appended there about once (the relator check
-applies a 4g-letter word to the images); caching the inverses in `apply`
-left the time of composing two depth-3 genus-3 braids and checking the
-relator unchanged but raised its peak RSS from 103 to 174 MB.
+Products and endomorphism images are built by appending reduced words to a
+reduced code array.  When both sides are reduced, all free cancellation
+happens at the junction: the appended word's prefix cancels against the
+array's suffix, and once a letter pair survives nothing further cancels.
+`_append` finds that cancelled length by galloping compares of array
+slices against the appended word's inverse and splices the rest in with one
+slice, so results come out reduced without a second pass and no letter is
+read in Python.  `apply` and `compose` invert each image once, when first
+read.  Composing the two depth-3 genus-3 push braids of the benchmark (5.7M
+letters) and checking the boundary relator on the composite took 0.72-0.82 s
+with tuples of signed ints and takes 0.23-0.29 s so (Python 3.11).
+`Word(alphabet, letters)` reduces and range-checks any letter sequence;
+`Word._reduced` trusts its buffer and is only fed results of `_append` on
+validated Words.
 """
 
-from itertools import islice
-from operator import neg
+from array import array
+from collections import Counter
+from itertools import groupby
 
 from .errors import UnknownGeneratorError
+
+# maps each byte to its complement, so translating the bytes of a code
+# buffer negates every letter in it
+_COMPLEMENT = bytes(range(255, -1, -1))
 
 
 class Alphabet:
@@ -47,6 +56,10 @@ class Alphabet:
         names = tuple(str(n) for n in names)
         if not names:
             raise ValueError("alphabet must have at least one generator")
+        for nm in names:
+            if not nm or any(ch.isspace() or ch in ",[]^" for ch in nm):
+                raise ValueError("generator name %r is empty or holds "
+                                 "whitespace, ',', '[', ']' or '^'" % nm)
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names: %r" % (names,))
         self.names = names
@@ -56,7 +69,10 @@ class Alphabet:
         return len(self.names)
 
     def __eq__(self, other):
-        return isinstance(other, Alphabet) and self.names == other.names
+        # words compare alphabets on every product and image: skip the
+        # name-by-name compare for the one alphabet they share
+        return self is other or (isinstance(other, Alphabet)
+                                 and self.names == other.names)
 
     def __hash__(self):
         return hash(self.names)
@@ -88,32 +104,30 @@ def surface_alphabet(genus):
                     + ["b%d" % i for i in range(1, genus + 1)])
 
 
-def _append(out, img, sign, inv=None):
-    """Append the reduced letter tuple img (sign > 0) or its inverse
-    (sign < 0) to the reduced letter list out, cancelling at the junction.
+def _inverse(buf):
+    """The code array of the inverse of the word with codes buf."""
+    out = array("i")
+    out.frombytes(buf[::-1].tobytes().translate(_COMPLEMENT))
+    return out
 
-    inv, if given, is img's inverse as a tuple; then the junction only
-    slices.  Without it the letters of the inverse are negated on the fly.
-    """
-    # fwd is the appended word and back its inverse; None means "negate the
-    # other one as it is read"
-    fwd, back = (img, inv) if sign > 0 else (inv, img)
-    n, m = len(out), len(img)
+
+def _append(out, fwd, back):
+    """Append the word with reduced codes fwd, whose inverse has the codes
+    back, to the reduced code array out, cancelling at the junction."""
+    n, m = len(out), len(fwd)
     lim = n if n < m else m
     c = 0
-    if lim and out[-1] == (back[-1] if back is not None else -fwd[0]):
-        # out[n-e:n-c] cancels against letters c..e-1 of the appended word;
-        # that holds for every e up to the cancelled length and for none
-        # beyond it, so gallop up by doubling steps, then halve back down
+    if lim and out[-1] == back[-1]:
+        # out[n-e:n-c] cancels against letters c..e-1 of fwd, that is, it
+        # equals back[m-e:m-c]; that holds for every e up to the cancelled
+        # length and for none beyond it, so gallop up by doubling steps,
+        # then halve back down
         c, step, grow = 1, 1, True
         while step:
             e = c + step
             if e > lim:
                 e = lim
-            if e > c and (
-                    tuple(out[n - e:n - c]) == back[m - e:m - c]
-                    if back is not None else
-                    out[n - e:n - c] == list(map(neg, reversed(fwd[c:e])))):
+            if e > c and out[n - e:n - c] == back[m - e:m - c]:
                 c = e
                 if grow:
                     step *= 2
@@ -121,90 +135,105 @@ def _append(out, img, sign, inv=None):
                 grow = False
                 step //= 2
     del out[n - c:]
-    if fwd is not None:
-        out.extend(fwd[c:])
-    else:
-        out.extend(map(neg, islice(reversed(back), c, None)))
+    out.extend(fwd[c:] if c else fwd)
 
 
-def _substitute(fwd, inv, letters):
-    """The reduced letter list of the word letters with each +i read as the
-    tuple fwd[i-1] and each -i as its inverse inv[i-1] (None: negate fwd[i-1]
-    on the fly)."""
-    out = []
-    for x in letters:
-        i = abs(x) - 1
-        _append(out, fwd[i], x, inv[i])
+def _substitute(images, inverses, codes):
+    """The reduced codes of the word with codes `codes`, each generator i
+    read as the Word images[i].  inverses caches {i: the codes of the inverse
+    of images[i]}; each image is inverted when first read."""
+    out = array("i")
+    for s in codes:
+        i = s if s >= 0 else ~s
+        img = images[i].buf
+        inv = inverses.get(i)
+        if inv is None:
+            inv = inverses[i] = _inverse(img)
+        if s >= 0:
+            _append(out, img, inv)
+        else:
+            _append(out, inv, img)
     return out
 
 
-def _reduce_letters(letters):
-    out = []
-    for x in letters:
-        if x == 0:
-            raise ValueError("0 is not a letter")
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
 class Word:
-    """A freely reduced word.  Construction reduces, so reduction is idempotent."""
+    """A freely reduced word.  Construction reduces, so reduction is idempotent.
 
-    __slots__ = ("alphabet", "letters", "_hash")
+    `buf` holds the reduced letters as codes (see the module docstring);
+    `letters` decodes them to a tuple of signed ints.
+    """
+
+    __slots__ = ("alphabet", "buf", "_hash")
 
     def __init__(self, alphabet, letters=()):
-        n = len(alphabet)
-        letters = _reduce_letters(letters)
+        codes = []
         for x in letters:
-            if abs(x) > n:
-                raise UnknownGeneratorError("letter %d outside alphabet of size %d" % (x, n))
+            if x == 0:
+                raise ValueError("0 is not a letter")
+            s = x - 1 if x > 0 else x
+            if codes and codes[-1] == ~s:
+                codes.pop()
+            else:
+                codes.append(s)
+        n = len(alphabet)
+        hi, lo = (max(codes), min(codes)) if codes else (0, 0)
+        if hi >= n or lo < -n:
+            raise UnknownGeneratorError("letter %d outside alphabet of size %d"
+                                        % (hi + 1 if hi >= n else lo, n))
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "buf", array("i", codes))
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _reduced(cls, alphabet, letters):
-        """A Word from letters known to be reduced and inside the alphabet."""
+    def _reduced(cls, alphabet, buf):
+        """A Word owning buf, a code array known to be reduced and inside
+        the alphabet."""
         w = cls.__new__(cls)
         object.__setattr__(w, "alphabet", alphabet)
-        object.__setattr__(w, "letters", tuple(letters))
+        object.__setattr__(w, "buf", buf)
         object.__setattr__(w, "_hash", None)
         return w
 
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
 
+    @property
+    def letters(self):
+        """The reduced letters as a tuple of signed ints: +i is the i-th
+        generator (1-based) and -i its inverse."""
+        return tuple(s + 1 if s >= 0 else s for s in self.buf)
+
     def __len__(self):
-        return len(self.letters)
+        return len(self.buf)
 
     def __bool__(self):
-        return bool(self.letters)
+        return bool(self.buf)
+
+    def exponent_sums(self):
+        """The exponent sum of each generator, in alphabet order."""
+        counts = Counter(self.buf)
+        return [counts[i] - counts[~i] for i in range(len(self.alphabet))]
 
     def __eq__(self, other):
         return (isinstance(other, Word) and self.alphabet == other.alphabet
-                and self.letters == other.letters)
+                and self.buf == other.buf)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.alphabet, self.letters))
+            h = hash((self.alphabet, self.buf.tobytes()))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __mul__(self, other):
         if self.alphabet != other.alphabet:
             raise UnknownGeneratorError("words over different alphabets")
-        out = list(self.letters)
-        _append(out, other.letters, 1)
+        out = self.buf[:]
+        _append(out, other.buf, _inverse(other.buf))
         return Word._reduced(self.alphabet, out)
 
     def __invert__(self):
-        out = []
-        _append(out, self.letters, -1)
-        return Word._reduced(self.alphabet, out)
+        return Word._reduced(self.alphabet, _inverse(self.buf))
 
     def __pow__(self, n):
         if n == 0:
@@ -273,27 +302,20 @@ class GroupEndomorphism:
         return hash((self.alphabet, self.images))
 
     def apply(self, w):
-        """Homomorphic image of w, freely reduced; inverse images are
-        negated on the fly (see the module docstring)."""
+        """Homomorphic image of w, freely reduced."""
         if w.alphabet != self.alphabet:
             raise UnknownGeneratorError("word over a different alphabet")
-        fwd = [v.letters for v in self.images]
-        return Word._reduced(
-            self.alphabet, _substitute(fwd, (None,) * len(fwd), w.letters))
+        return Word._reduced(self.alphabet,
+                             _substitute(self.images, {}, w.buf))
 
     def compose(self, other):
-        """self after other: (self.compose(other))(w) == self(other(w)).
-
-        Every image of self is appended at every letter of other's images,
-        so each is negated once here and the junctions only slice; `apply`
-        negates on the fly instead (see the module docstring).
-        """
+        """self after other: (self.compose(other))(w) == self(other(w))."""
         if other.alphabet != self.alphabet:
             raise UnknownGeneratorError("word over a different alphabet")
-        fwd = [v.letters for v in self.images]
-        inv = [tuple(map(neg, reversed(t))) for t in fwd]
+        inverses = {}
         return GroupEndomorphism(self.alphabet, [
-            Word._reduced(self.alphabet, _substitute(fwd, inv, w.letters))
+            Word._reduced(self.alphabet,
+                          _substitute(self.images, inverses, w.buf))
             for w in other.images])
 
     def __repr__(self):
@@ -304,37 +326,30 @@ class GroupEndomorphism:
 
 def word_to_str(w):
     """Compact string form, e.g. ``a1 b1 a1^-1 b1^-1``; runs merge as ``a1^3``."""
-    toks = []
-    i = 0
-    lets = w.letters
-    while i < len(lets):
-        j = i
-        while j < len(lets) and lets[j] == lets[i]:
-            j += 1
-        name = w.alphabet.names[abs(lets[i]) - 1]
-        exp = (j - i) * (1 if lets[i] > 0 else -1)
-        toks.append(name if exp == 1 else "%s^%d" % (name, exp))
-        i = j
-    return " ".join(toks)
+    return " ".join(nm if e == 1 else "%s^%d" % (nm, e)
+                    for nm, e in word_to_pairs(w))
+
+
+def _power(alphabet, name, exp):
+    """The letters of name^exp, for an exponent int() reads."""
+    if name not in alphabet.index:
+        raise UnknownGeneratorError("unknown generator %r" % name,
+                                    alphabet=alphabet.names)
+    i = alphabet.index[name] + 1
+    exp = int(exp)
+    return [i if exp > 0 else -i] * abs(exp)
 
 
 def word_from_str(alphabet, s):
     """Parse the compact string form (whitespace-separated ``name`` / ``name^k``)."""
     letters = []
     for tok in s.split():
-        if "^" in tok:
-            name, _, exps = tok.partition("^")
-            try:
-                exp = int(exps)
-            except ValueError:
-                raise UnknownGeneratorError("bad exponent in token %r" % tok) from None
-        else:
-            name, exp = tok, 1
-        if name not in alphabet.index:
-            raise UnknownGeneratorError("unknown generator %r" % name,
-                                        alphabet=alphabet.names)
-        i = alphabet.index[name] + 1
-        letters.extend([i if exp > 0 else -i] * abs(exp))
+        name, hat, exps = tok.partition("^")
+        try:
+            exp = int(exps) if hat else 1
+        except ValueError:
+            raise UnknownGeneratorError("bad exponent in token %r" % tok) from None
+        letters += _power(alphabet, name, exp)
     return Word(alphabet, letters)
 
 
@@ -342,22 +357,14 @@ def word_from_pairs(alphabet, pairs):
     """Parse the JSON array form [[name, exponent], ...]."""
     letters = []
     for name, exp in pairs:
-        if name not in alphabet.index:
-            raise UnknownGeneratorError("unknown generator %r" % name,
-                                        alphabet=alphabet.names)
-        i = alphabet.index[name] + 1
-        exp = int(exp)
-        letters.extend([i if exp > 0 else -i] * abs(exp))
+        letters += _power(alphabet, name, exp)
     return Word(alphabet, letters)
 
 
 def word_to_pairs(w):
-    out = []
-    for x in w.letters:
-        name = w.alphabet.names[abs(x) - 1]
-        exp = 1 if x > 0 else -1
-        if out and out[-1][0] == name and (out[-1][1] > 0) == (exp > 0):
-            out[-1][1] += exp
-        else:
-            out.append([name, exp])
+    """The JSON array form; each run of one letter becomes one pair."""
+    names, out = w.alphabet.names, []
+    for s, run in groupby(w.buf):
+        n = len(list(run))
+        out.append([names[s], n] if s >= 0 else [names[~s], -n])
     return out

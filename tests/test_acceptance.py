@@ -11,7 +11,8 @@ from random import Random
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from braidgen import commutator_braid, elementary_braids_g3, search_push_tuples_g2
+from braidgen import (commutator_braid, depth_two_braid, elementary_braids_g3,
+                      search_push_tuples_g2)
 from liegen import random_like
 from lietau.hall import enumerate_trees, hall_basis, witt
 from lietau.johnson import (HomValue, TauValue, boundary_twist,
@@ -232,18 +233,21 @@ def test_criterion_7_levine_cross_validation():
             if some_class:
                 nontrivial_classes += 1
                 assert not value_obstruction_vanishes(pp, Lagrangian.standard(2))
-        # the same two routes must also agree on a genuinely deep genus-3
-        # push with nonzero classes, where the obstruction is nonvanishing
+        # the genus-2 search meets only the trivial tuple, so the two routes
+        # must also agree on genus-3 pushes with nonzero classes, where the
+        # obstruction is nonvanishing: [A12, A23] at weight 2 and
+        # [[A12, A23], A12] at weight 3
         m3 = model(3)
         b12, b23 = elementary_braids_g3(m3)
-        d = commutator_braid(commutator_braid(b12, b23), b12)
         from lietau.johnson import push_tuple_of
-        lam = push_tuple_of(d.fwd)
-        assert lam is not None
-        value = point_push_tau(m3, lam, 3)
-        assert value == tau(d.fwd, 3)
-        assert not value.is_zero()
-        assert not value_obstruction_vanishes(value, Lagrangian.standard(3))
+        for d, k in ((depth_two_braid(m3), 2),
+                     (commutator_braid(commutator_braid(b12, b23), b12), 3)):
+            lam = push_tuple_of(d.fwd)
+            assert lam is not None
+            value = point_push_tau(m3, lam, k)
+            assert value == tau(d.fwd, k)
+            assert not value.is_zero()
+            assert not value_obstruction_vanishes(value, Lagrangian.standard(3))
 
 
 def test_criterion_8_homology_obstructions():

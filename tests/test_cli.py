@@ -242,6 +242,10 @@ def test_domain_error_exit_code(capsys):
     ["depth", "--map", '{"genus": 2, "images": []}'],
     ["depth", "--map", '{"genus":2,"images":{"a1":"a1 b1","zz":"b1"}}'],
     ["matrix-check", "--matrix", "[[1,0],[0,1]]", "--bound", "0"],
+    ["hall", "--k", "2", "--alphabet", "x,,y"],
+    ["hall", "--k", "2", "--alphabet", "x,y z"],
+    ["hall", "--k", "2", "--alphabet", "x,y[1]"],
+    ["hall", "--k", "2", "--alphabet", "x,y^2"],
 ])
 def test_bad_input_is_one_json_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -258,6 +262,9 @@ def test_bad_input_is_one_json_error(capsys, argv):
      "unknown-generator", "zz"),
     (["matrix-check", "--matrix", "[[1,0],[0,1]]", "--bound", "-5"],
      "precondition-violation", "bound"),
+    # printed as [,x] and [y,], which no parser reads back
+    (["hall", "--k", "2", "--alphabet", "x,,y"], "bad-input", "''"),
+    (["hall", "--k", "2", "--alphabet", "x,y]"], "bad-input", "'y]'"),
 ])
 def test_refusal_names_its_input(capsys, argv, error, named):
     code, out, err = run(capsys, *argv)

@@ -105,6 +105,14 @@ def test_alphabet_duplicate_rejected():
         Alphabet(["x", "x"])
 
 
+@pytest.mark.parametrize("name", ["", " ", "y z", "y\t", ",", "y[1]", "]",
+                                  "y^2"])
+def test_alphabet_refuses_names_no_parser_reads_back(name):
+    # trees print as [u,v] and words as whitespace-separated name^k tokens
+    with pytest.raises(ValueError, match="generator name"):
+        Alphabet(["x", name])
+
+
 def test_conjugate_and_pow():
     w = X * Y
     assert w.conjugate(Y) == Y * w * ~Y
@@ -137,56 +145,88 @@ def reference_apply(images, letters):
 
 
 AB4 = Alphabet(["p", "q", "r", "s"])
+AB4_LETTERS = [Word(AB4, (i + 1,)) for i in range(4)]
 
 
-def random_reduced(rng, length, n=4):
-    """A reduced word of exactly the given length."""
+def random_reduced(rng, length, alphabet=AB4, pool=None):
+    """A reduced word of exactly the given length, over the generators in
+    pool (1-based; all of the alphabet by default)."""
     out = []
     while len(out) < length:
-        x = rng.choice([1, -1]) * rng.randint(1, n)
+        x = rng.choice([1, -1]) * (rng.randint(1, len(alphabet)) if pool is None
+                                   else rng.choice(pool))
         if not out or out[-1] != -x:
             out.append(x)
-    return Word(AB4, out)
+    return Word(alphabet, out)
 
 
-def random_endo(rng):
+def random_endo(rng, alphabet=AB4, pool=None):
     """Images mixing random words and conjugates u x u^-1, which cancel in
-    long runs wherever two of them meet."""
-    images = []
-    for i in range(len(AB4)):
-        u = random_reduced(rng, rng.randint(0, 40))
-        x = Word(AB4, (i + 1,))
-        images.append(u * x * ~u if rng.random() < 0.6
-                      else random_reduced(rng, rng.randint(0, 15)))
-    return GroupEndomorphism(AB4, images)
+    long runs wherever two of them meet; generators outside pool are fixed."""
+    images = [Word(alphabet, (i + 1,)) for i in range(len(alphabet))]
+    for i in pool or range(1, len(alphabet) + 1):
+        u = random_reduced(rng, rng.randint(0, 40), alphabet, pool)
+        x = Word(alphabet, (i,))
+        images[i - 1] = (u * x * ~u if rng.random() < 0.6 else
+                         random_reduced(rng, rng.randint(0, 15), alphabet, pool))
+    return GroupEndomorphism(alphabet, images)
 
 
 def check_reduced_result(w, expected):
     # the trusted constructor agrees with the validating one
     assert w.letters == expected
     assert type(w.letters) is tuple
-    assert w == Word(AB4, expected)
+    assert w == Word(w.alphabet, expected)
+
+
+def check_against_reference(rng, phi, alphabet=AB4, pool=None):
+    u = random_reduced(rng, rng.randint(0, 30), alphabet, pool)
+    v = random_reduced(rng, rng.randint(0, 30), alphabet, pool)
+    # a shared stretch makes u * ~v cancel far into both
+    v = (random_reduced(rng, rng.randint(0, 5), alphabet, pool) * u
+         if rng.random() < 0.5 else v)
+    check_reduced_result(phi.apply(u), reference_apply(phi.images, u.letters))
+    check_reduced_result(u * v, reference_reduce(u.letters + v.letters))
+    check_reduced_result(u * ~v, reference_reduce(
+        u.letters + reference_inverse(v.letters)))
+    check_reduced_result(~u, reference_inverse(u.letters))
+    n = rng.randint(-3, 3)
+    base = u.letters if n >= 0 else reference_inverse(u.letters)
+    check_reduced_result(u ** n, reference_reduce(base * abs(n)))
+
+
+def check_compose_against_reference(phi, psi, generators):
+    both = phi.compose(psi)
+    for i in generators:
+        check_reduced_result(both.images[i - 1], reference_apply(
+            phi.images, psi.images[i - 1].letters))
 
 
 def test_kernel_matches_reference_route():
     rng = random.Random(3)
     for _ in range(300):
         phi, psi = random_endo(rng), random_endo(rng)
-        u = random_reduced(rng, rng.randint(0, 30))
-        v = random_reduced(rng, rng.randint(0, 30))
-        # a shared stretch makes u * ~v cancel far into both
-        v = random_reduced(rng, rng.randint(0, 5)) * u if rng.random() < 0.5 else v
-        check_reduced_result(phi.apply(u), reference_apply(phi.images, u.letters))
-        check_reduced_result(u * v, reference_reduce(u.letters + v.letters))
-        check_reduced_result(u * ~v, reference_reduce(
-            u.letters + reference_inverse(v.letters)))
-        check_reduced_result(~u, reference_inverse(u.letters))
-        n = rng.randint(-3, 3)
-        base = u.letters if n >= 0 else reference_inverse(u.letters)
-        check_reduced_result(u ** n, reference_reduce(base * abs(n)))
-        both = phi.compose(psi)
-        for img, inner in zip(both.images, psi.images):
-            check_reduced_result(img, reference_apply(phi.images, inner.letters))
+        check_against_reference(rng, phi)
+        check_compose_against_reference(phi, psi, range(1, len(AB4) + 1))
+
+
+# Codes of generators 256 and up fill more than one byte of the stored int
+# and those of 65536 and up three; the codes of inverse letters set all four.
+# The pool sits at both ends of each byte boundary.
+WIDE = Alphabet(["g%d" % i for i in range(1, 70001)])
+WIDE_POOL = (1, 2, 255, 256, 257, 65535, 65536, 65537, 69999, 70000)
+
+
+def test_kernel_matches_reference_route_on_a_wide_alphabet():
+    rng = random.Random(8)
+    phi, psi = (random_endo(rng, WIDE, WIDE_POOL) for _ in range(2))
+    for _ in range(300):
+        check_against_reference(rng, phi if rng.random() < 0.5 else psi,
+                                WIDE, WIDE_POOL)
+    # the images of the pool, and two that both maps fix
+    check_compose_against_reference(phi, psi, WIDE_POOL + (3, 40000))
+    with pytest.raises(UnknownGeneratorError):
+        Word(WIDE, (70001,))
 
 
 def test_kernel_on_a_long_word():
@@ -283,6 +323,35 @@ def test_conjugations_compose_to_identity():
                         for v in (u, ~u))
         assert by_u.compose(by_inv) == ident
         assert by_inv.compose(by_u) == ident
+
+
+def test_equal_words_hash_equal_from_every_constructor():
+    rng = random.Random(9)
+    for _ in range(50):
+        w = random_reduced(rng, rng.randint(0, 25))
+        u = random_reduced(rng, rng.randint(0, 10))
+        # p -> w, q -> u^-1, r and s fixed
+        p, q, r, s = AB4_LETTERS
+        phi = GroupEndomorphism(AB4, [w, ~u, r, s])
+        ident = GroupEndomorphism.identity(AB4)
+        built = [
+            Word(AB4, w.letters),
+            Word(AB4, u.letters + reference_inverse(u.letters) + w.letters),
+            w * u * ~u,
+            (w * u) * ~u,
+            ~Word(AB4, reference_inverse(w.letters)),
+            ~~w,
+            phi.apply(p),
+            ~u * phi.apply(~q * p * q) * u,
+            phi.compose(ident).images[0],
+            ident.compose(phi).images[0],
+        ]
+        for v in built:
+            assert v == w and hash(v) == hash(w)
+            assert type(v.letters) is tuple and v.letters == w.letters
+            assert all(type(x) is int for x in v.letters)
+        assert len(set(built)) == 1
+        assert Word(AB, [1 + (abs(x) - 1) % 2 for x in w.letters]) != w
 
 
 def test_from_dict_refuses_unknown_names():
