@@ -33,12 +33,19 @@ def load_config(path=None, overrides=None):
     if path:
         with open(path) as fh:
             data = json.load(fh)
-        for key in _DEFAULTS:
-            if key in data:
-                cfg[key] = data[key]
+        if not isinstance(data, dict):
+            raise PreconditionError("config must be a JSON object")
+        cfg.update((key, data[key]) for key in _DEFAULTS if key in data)
     for key, value in (overrides or {}).items():
         if value is not None:
             cfg[key] = value
+    for key in ("cap", "height"):
+        if type(cfg[key]) is not int:
+            raise PreconditionError("%s must be an integer, got %r"
+                                    % (key, cfg[key]))
+    if cfg["format"] not in ("table", "json", "csv"):
+        raise PreconditionError("format must be table, json or csv, got %r"
+                                % (cfg["format"],))
     if cfg["cap"] < 2:
         raise PreconditionError("cap must be >= 2")
     if cfg["height"] < 0:

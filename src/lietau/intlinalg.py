@@ -5,9 +5,9 @@ Everything here is hand-rolled over Python ints; no Fraction is needed.
 membership, canonical coset representatives, torsion and, on request,
 combination tracking.  Besides it: Hermite and Smith forms, Bareiss
 determinants and characteristic polynomials (Faddeev-LeVerrier, whose
-traces divide exactly).  Fractions remain only outside this module: in the
-block solver of `magnus` and in the number-field arithmetic of `symplectic`,
-which is rational by nature.
+traces divide exactly).  `magnus` solves Hall coordinates with a tracked
+`IntLattice` too; Fractions remain only in the number-field arithmetic of
+`symplectic`, which is rational by nature.
 
 Lattice rows are sparse: each is a {column: value} dict without zeros, keyed
 by its pivot column.  Insertion reduces a vector at its least nonzero column,

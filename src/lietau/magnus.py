@@ -5,7 +5,12 @@ A generator maps to 1 + X and its inverse to the truncated geometric series
 k-th lower central term the lowest nonvanishing degree is k and that
 component is the word's class in the weight-k layer, re-expressed in the Hall
 basis by an exact integer solve against the associative expansions of basic
-commutators.
+commutators.  Each leaf-multidegree block keeps those expansions in an
+`IntLattice` with combination tracking, and the solve is echelon membership
+by exact pivot divisions.  That finds every Lie component's coordinates
+because the free Lie ring is a direct summand of the free associative ring
+over Z (Reutenauer, Free Lie Algebras, 1993): a component in the Lie span
+has integer Hall coordinates, so it lies in the lattice the expansions span.
 
 A word's expansion is built in one left-to-right pass over its letters,
 keeping the series S of the prefix read so far split by degree.  A letter
@@ -16,11 +21,11 @@ each term of S below the cap once and drop everything above it, so a letter
 costs O(|S|) and long words never form products of two large series.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalFault, PreconditionError
 from .hall import basis_block
+from .intlinalg import IntLattice
 from .lie import LieElement, expand_associative
 
 
@@ -171,66 +176,20 @@ def weight_of(w, cap):
     return None
 
 
-class _BlockSolver:
-    """Echelonized associative expansions of one multidegree block.
-
-    Each echelon row remembers the tree combination it came from, so solving
-    is a single reduction pass; solutions are asserted integral.
-    """
-
-    def __init__(self, k, n, mdeg):
-        self.trees = basis_block(k, n, mdeg)
-        self.rows = []  # (pivot monomial, {mono: Fraction}, {tree: Fraction})
-        for t in self.trees:
-            row = {m: Fraction(c) for m, c in expand_associative(t).items()}
-            combo = {t: Fraction(1)}
-            self._reduce(row, combo)
-            if not row:
-                raise InternalFault("dependent Hall expansions in block %r" % (mdeg,))
-            piv = min(row)
-            pv = row[piv]
-            row = {m: c / pv for m, c in row.items()}
-            combo = {u: c / pv for u, c in combo.items()}
-            self.rows.append((piv, row, combo))
-
-    def _reduce(self, row, combo):
-        for piv, r, cmb in self.rows:
-            f = row.get(piv)
-            if not f:
-                continue
-            for m, c in r.items():
-                v = row.get(m, 0) - f * c
-                if v:
-                    row[m] = v
-                else:
-                    row.pop(m, None)
-            for u, c in cmb.items():
-                v = combo.get(u, 0) - f * c
-                if v:
-                    combo[u] = v
-                else:
-                    combo.pop(u, None)
-
-    def solve(self, target):
-        """Integer coefficients c with sum c_t * expand(t) = target."""
-        row = {m: Fraction(c) for m, c in target.items()}
-        combo = {}
-        self._reduce(row, combo)
-        if row:
-            raise InternalFault("degree component outside the Lie span")
-        out = {}
-        for t, c in combo.items():
-            c = -c
-            if c:
-                if c.denominator != 1:
-                    raise InternalFault("non-integer Hall coordinates")
-                out[t] = int(c)
-        return out
-
-
 @lru_cache(maxsize=None)
 def _block_solver(k, n, mdeg):
-    return _BlockSolver(k, n, mdeg)
+    """The block's trees, a {monomial: column} map numbered in order of first
+    appearance in their expansions, and an `IntLattice` holding each
+    expansion tagged by its tree's index."""
+    trees = basis_block(k, n, mdeg)
+    cols = {}
+    for t in trees:
+        for m in expand_associative(t):
+            cols.setdefault(m, len(cols))
+    lat = IntLattice(len(cols), track=True)
+    for i, t in enumerate(trees):
+        lat.add({cols[m]: c for m, c in expand_associative(t).items()}, i)
+    return trees, cols, lat
 
 
 def component_to_lie(component, k, n):
@@ -239,11 +198,16 @@ def component_to_lie(component, k, n):
     for m, c in component.items():
         if c:
             blocks.setdefault(tuple(sorted(m)), {})[m] = c
-    out = LieElement.zero(k)
+    terms = {}  # blocks hold disjoint trees
     for sig, target in blocks.items():
-        solved = _block_solver(k, n, sig).solve(target)
-        out = out + LieElement(k, solved)
-    return out
+        trees, cols, lat = _block_solver(k, n, sig)
+        combo = None
+        if all(m in cols for m in target):
+            combo = lat.member_combo({cols[m]: c for m, c in target.items()})
+        if combo is None:
+            raise InternalFault("degree component outside the Lie span")
+        terms.update((trees[i], c) for i, c in combo.items())
+    return LieElement._of(k, terms)
 
 
 def leading_class(w, k):

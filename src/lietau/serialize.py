@@ -8,7 +8,6 @@ them, and the parsers accept both representations.
 import json
 
 from .errors import PreconditionError, UnknownGeneratorError
-from .hall import tree_to_json
 from .johnson import MappingClassData, TauValue
 from .lie import lie_from_json, lie_to_json
 from .surface import SurfaceModel
@@ -127,11 +126,3 @@ def parse_tau(obj, model):
     value = TauValue(model, k, bool(obj.get("free", False)), terms)
     # reduced values always live in quotient normal form
     return value if value.free else value.renormalize()
-
-
-def lie_json(e, alphabet=None):
-    return lie_to_json(e, alphabet)
-
-
-def tree_json(t, alphabet=None):
-    return tree_to_json(t, alphabet)

@@ -289,6 +289,21 @@ def test_config_file(tmp_path, capsys):
     assert out.strip() == "johnson >= 4, jprime >= 4"
 
 
+@pytest.mark.parametrize("body", [
+    {"cap": "x"}, {"cap": None}, {"cap": True}, [1], {"format": "xml"},
+    {"height": 2.5}, {"height": True},
+])
+def test_bad_config_is_one_json_error(tmp_path, capsys, body):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body))
+    code, out, err = run(capsys, "--config", str(cfg), "depth",
+                         "--map", '{"genus":2,"images":{}}')
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "error" in json.loads(err)
+
+
 def test_config_env(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"cap": 3}))

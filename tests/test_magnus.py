@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liegen import random_like
-from lietau.errors import PreconditionError
+from lietau.errors import InternalFault, PreconditionError
 from lietau.hall import hall_basis
-from lietau.lie import LieElement, bracket, lift_word
-from lietau.magnus import (MagnusSeries, induced_lie_map, lie_class_at, magnus,
-                           weight_of)
+from lietau.lie import LieElement, bracket, expand_associative, lift_word
+from lietau.magnus import (MagnusSeries, component_to_lie, induced_lie_map,
+                           lie_class_at, magnus, weight_of)
 from lietau.surface import SurfaceModel
 from lietau.words import Alphabet, GroupEndomorphism, Word, commutator
 
@@ -162,3 +162,27 @@ def test_one_pass_matches_balanced_product():
             got = magnus(w, cap)
             assert got == balanced_product(w, cap)
             assert all(c for c in got.coeffs.values())
+
+
+def test_component_to_lie_round_trip():
+    rng = random.Random(23)
+    for k in range(1, 6):
+        for n in range(1, 5):
+            basis = hall_basis(k, n)
+            for t in basis:
+                assert (component_to_lie(expand_associative(t), k, n)
+                        == LieElement.from_tree(t))
+            for _ in range(20):
+                combo = {t: rng.randint(-9, 9)
+                         for t in rng.sample(basis, min(len(basis), 4))}
+                component = {}
+                for t, c in combo.items():
+                    for m, v in expand_associative(t).items():
+                        component[m] = component.get(m, 0) + c * v
+                assert component_to_lie(component, k, n) == LieElement(k, combo)
+    # x0 x1 alone and x0 x1 + x1 x0 lie outside the Lie span, and no
+    # weight-3 tree on the leaves 0, 0, 0 exists to expand to x0^3
+    for component, k in (({(0, 1): 1}, 2), ({(0, 1): 1, (1, 0): 1}, 2),
+                         ({(0, 0, 0): 1}, 3)):
+        with pytest.raises(InternalFault):
+            component_to_lie(component, k, 2)
