@@ -23,6 +23,7 @@ from .words import Alphabet, surface_alphabet
 
 CONFIG_ENV = "LIETAU_CONFIG"
 _DEFAULTS = {"cap": 8, "height": 2, "format": "table"}
+_RETIRED = {"verbosity"}   # still accepted in config files, and ignored
 
 
 def load_config(path=None, overrides=None):
@@ -35,6 +36,10 @@ def load_config(path=None, overrides=None):
             data = json.load(fh)
         if not isinstance(data, dict):
             raise PreconditionError("config must be a JSON object")
+        unknown = sorted(set(data) - set(_DEFAULTS) - _RETIRED)
+        if unknown:
+            raise PreconditionError("unknown config key: %s"
+                                    % ", ".join(unknown))
         cfg.update((key, data[key]) for key in _DEFAULTS if key in data)
     for key, value in (overrides or {}).items():
         if value is not None:

@@ -1,13 +1,17 @@
 """Exact integer linear algebra at desk scale.
 
 Everything here is hand-rolled over Python ints; no Fraction is needed.
-`IntLattice` keeps a row lattice in echelon form with xgcd pivots, with
-membership, canonical coset representatives, torsion and, on request,
-combination tracking.  Besides it: Hermite and Smith forms, Bareiss
-determinants and characteristic polynomials (Faddeev-LeVerrier, whose
-traces divide exactly).  `magnus` solves Hall coordinates with a tracked
-`IntLattice` too; Fractions remain only in the number-field arithmetic of
-`symplectic`, which is rational by nature.
+`IntLattice` is the one echelon engine: it keeps a row lattice in echelon
+form with xgcd pivots, with membership, canonical coset representatives,
+torsion and, on request, combination tracking.  A tracked lattice also
+records the combinations of inserted vectors that reduce to zero; its xgcd
+steps are unimodular, so these relations span the integer kernel (Cohen,
+GTM 138, section 2.4), and `int_kernel_basis` and `saturate_rows` are built
+on them.  Besides it: Hermite and Smith forms, Bareiss determinants and
+characteristic polynomials (Faddeev-LeVerrier, whose traces divide
+exactly).  `magnus` solves Hall coordinates with a tracked `IntLattice`
+too; Fractions remain only in the number-field arithmetic of `symplectic`,
+which is rational by nature.
 
 Lattice rows are sparse: each is a {column: value} dict without zeros, keyed
 by its pivot column.  Insertion reduces a vector at its least nonzero column,
@@ -89,13 +93,16 @@ class IntLattice:
     rows always form a basis of the lattice generated by everything inserted
     so far.  When ``track`` is set, ``combos`` maps each pivot column to its
     row's expression as an integer combination of the inserted vectors (by
-    tag).
+    tag), and ``relations`` lists, for every inserted vector that reduced to
+    zero, its combination; the relations span the integer kernel of the
+    inserted vectors.
     """
 
     def __init__(self, ncols, track=False):
         self.N = ncols
         self.rows = {}            # pivot column -> {column: value}
         self.combos = {} if track else None
+        self.relations = [] if track else None
         self.pivots = []          # ascending
 
     @property
@@ -142,6 +149,8 @@ class IntLattice:
                     rc = combos[j]
                     combos[j] = _lincomb(x, rc, y, combo)
                     combo = _lincomb(-bg, rc, ag, combo)
+        if combo is not None:
+            self.relations.append(combo)
         return changed
 
     def _divide_out(self, vec, acc):
@@ -368,48 +377,14 @@ def poly_eval_matrix(coeffs, mat):
     return acc
 
 
-def hnf_with_transform(rows, ncols):
-    """(H, U) with U unimodular, U * rows = H in echelon form."""
-    m = len(rows)
-    a = [list(map(int, r)) for r in rows]
-    u = identity_matrix(m)
-    rank = 0
-    for j in range(ncols):
-        piv = None
-        for i in range(rank, m):
-            if a[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        u[rank], u[piv] = u[piv], u[rank]
-        for i in range(rank + 1, m):
-            while a[i][j]:
-                x, y, g = xgcd(a[rank][j], a[i][j])
-                p, q = a[rank][j] // g, a[i][j] // g
-                a[rank], a[i] = ([x * r + y * s for r, s in zip(a[rank], a[i])],
-                                 [-q * r + p * s for r, s in zip(a[rank], a[i])])
-                u[rank], u[i] = ([x * r + y * s for r, s in zip(u[rank], u[i])],
-                                 [-q * r + p * s for r, s in zip(u[rank], u[i])])
-        if a[rank][j] < 0:
-            a[rank] = [-v for v in a[rank]]
-            u[rank] = [-v for v in u[rank]]
-        rank += 1
-    return a, u
-
-
 def int_kernel_basis(mat, ncols):
-    """Rows spanning {x in Z^ncols : mat . x = 0}; always a saturated lattice."""
-    if not mat:
-        return hermite_rows(identity_matrix(ncols), ncols)
-    cols = transpose(mat)  # cols[j] is the j-th column of mat, one per unknown
-    h, u = hnf_with_transform(cols, len(mat))
-    out = []
-    for i, row in enumerate(h):
-        if all(v == 0 for v in row):
-            out.append(u[i])
-    return hermite_rows(out, ncols)
+    """Canonical rows spanning {x in Z^ncols : mat . x = 0}, a saturated
+    lattice: the relations among the columns of mat, inserted by index into
+    a tracked lattice."""
+    lat = IntLattice(len(mat), track=True)
+    for j in range(ncols):
+        lat.add([row[j] for row in mat], j)
+    return hermite_rows(lat.relations, ncols)
 
 
 def hermite_rows(rows, ncols):
@@ -420,7 +395,7 @@ def hermite_rows(rows, ncols):
     """
     lat = IntLattice(ncols)
     for r in rows:
-        lat.add(list(r))
+        lat.add(r)
     out = lat.matrix()
     for i in range(len(out)):
         j = lat.pivots[i]
@@ -435,10 +410,5 @@ def hermite_rows(rows, ncols):
 
 def saturate_rows(rows, ncols):
     """Canonical basis of the saturation (rowspace_Q intersected with Z^n)."""
-    if not rows:
-        return []
-    ker = int_kernel_basis([list(r) for r in rows], ncols)
-    if not ker:
-        return hermite_rows(identity_matrix(ncols), ncols)
-    return int_kernel_basis(ker, ncols)
+    return int_kernel_basis(int_kernel_basis(rows, ncols), ncols)
 

@@ -7,6 +7,7 @@ has Gram matrix J = [[0, I], [-I, 0]].
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 from math import isqrt
 
 from .errors import (DimensionMismatchError, GenusTooLargeError, InternalFault,
@@ -501,7 +502,6 @@ def invariant_lagrangian_report(m, bound=None):
             for _lvl in range(mult):
                 power = mat_mul(power, shifted)
                 basis = int_kernel_basis(power, n)
-                from itertools import combinations
                 for size in range(1, len(basis) + 1):
                     for idxs in combinations(range(len(basis)), size):
                         rows = [basis[i] for i in idxs]
@@ -537,8 +537,7 @@ def invariant_lagrangian_report(m, bound=None):
                 report.notes.append(
                     "factor %s is not reciprocal; no pair certificate" % _poly_str(fc))
 
-    from itertools import product as _prod
-    for choice in _prod(*option_sets):
+    for choice in product(*option_sets):
         total = sum(dim for dim, _ in choice)
         if total != g:
             continue

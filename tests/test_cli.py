@@ -199,6 +199,15 @@ MATRIX_GOLDENS = {
         '"omega_v_vbar": "-3 + 2*z"}, {"factor": "x**2 + 1", "nonzero": true, '
         '"omega_v_vbar": "2*z"}], "rational_eigenvalues": [1], "size": 6, '
         '"symplectic": true}\n'),
+    # (x - 1)^6, a product of block transvections; the eigenvalue-1 kernels
+    # give a Lagrangian that is not spanned by coordinate vectors
+    "unipotent": (
+        "[[1,0,0,0,0,0],[0,1,1,0,0,0],[0,0,1,0,0,0],[0,0,-1,1,0,0],"
+        "[0,0,-1,0,1,0],[-1,-1,1,0,-1,1]]",
+        '{"candidates_tested": 4, "eigen_pm1": true, "invariant_lagrangian": '
+        '{"genus": 3, "span": [[0, 1, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0], '
+        '[0, 0, 0, 0, 0, 1]]}, "pair_checks": [], "rational_eigenvalues": [1], '
+        '"size": 6, "symplectic": true}\n'),
 }
 
 
@@ -291,7 +300,7 @@ def test_config_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("body", [
     {"cap": "x"}, {"cap": None}, {"cap": True}, [1], {"format": "xml"},
-    {"height": 2.5}, {"height": True},
+    {"height": 2.5}, {"height": True}, {"cpa": 3},
 ])
 def test_bad_config_is_one_json_error(tmp_path, capsys, body):
     cfg = tmp_path / "cfg.json"
@@ -302,6 +311,16 @@ def test_bad_config_is_one_json_error(tmp_path, capsys, body):
     assert out == ""
     assert "Traceback" not in err
     assert err.count("\n") == 1 and "error" in json.loads(err)
+
+
+def test_retired_verbosity_key_is_ignored(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verbosity": 2}))
+    argv = ["depth", "--map", '{"genus":2,"images":{}}']
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, "--config", str(cfg), *argv)
+    assert code == 0 and out == plain
 
 
 def test_config_env(tmp_path, capsys, monkeypatch):

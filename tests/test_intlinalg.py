@@ -3,13 +3,12 @@ from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lietau.errors import InternalFault
 from lietau.intlinalg import (IntLattice, bareiss_det, charpoly, hermite_rows,
-                              hnf_with_transform, int_kernel_basis, mat_mul,
-                              mat_vec, saturate_rows, smith_divisors,
-                              transpose, xgcd)
+                              int_kernel_basis, mat_vec, saturate_rows,
+                              smith_divisors, transpose, xgcd)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
@@ -248,11 +247,44 @@ def test_hermite_rows_canonical():
     assert h1 == h2
 
 
-def test_hnf_with_transform():
-    rows = [[6, 4], [2, 2]]
-    h, u = hnf_with_transform(rows, 2)
-    assert mat_mul(u, rows) == h
-    assert abs(bareiss_det(u)) == 1
+def test_relations_complete_a_unimodular_transform():
+    # 6 and 4 force an xgcd step at column 0; the rest are dependent or zero
+    vecs = [[6, 4, 2, 0], [4, 2, 0, 2], [2, 2, 2, -2], [0, 0, 0, 0],
+            [10, 6, 2, 2], [3, 1, -1, 3]]
+    lat = IntLattice(4, track=True)
+    for i, v in enumerate(vecs):
+        lat.add(v, i)
+    assert lat.rank == 2
+    assert len(lat.relations) == len(vecs) - lat.rank
+    for rel in lat.relations:
+        assert all(sum(c * vecs[i][j] for i, c in rel.items()) == 0
+                   for j in range(4))
+    combos = [lat.combos[j] for j in lat.pivots] + lat.relations
+    square = [[c.get(i, 0) for i in range(len(vecs))] for c in combos]
+    assert abs(bareiss_det(square)) == 1
+
+
+def _rank(mat, ncols):
+    lat = IntLattice(ncols)
+    for row in mat:
+        lat.add(row)
+    return lat.rank
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+             max_size=4),
+    st.just(n))))
+@example(([], 3))
+@example(([[0, 0, 0], [0, 0, 0]], 3))
+def test_int_kernel_basis_properties(case):
+    mat, ncols = case
+    ker = int_kernel_basis(mat, ncols)
+    for x in ker:
+        assert not any(mat_vec(mat, x))
+    assert len(ker) + _rank(mat, ncols) == ncols
+    assert smith_divisors(ker) == [1] * len(ker)
+    assert hermite_rows(ker, ncols) == ker
 
 
 def test_int_kernel():
@@ -269,8 +301,8 @@ def test_int_kernel():
 
 def test_saturate_rows():
     assert saturate_rows([[2, 0]], 2) == [[1, 0]]
-    sat = saturate_rows([[2, 2], [0, 4]], 2)
-    assert sat == [[1, 1], [0, 2]] or sat == [[1, -1], [0, 2]] or len(sat) == 2
+    assert saturate_rows([[2, 2], [0, 4]], 2) == [[1, 0], [0, 1]]
+    assert saturate_rows([[2, 4, 6]], 3) == [[1, 2, 3]]
 
 
 def test_bareiss_det_against_fraction_elimination():
