@@ -3,6 +3,10 @@
 Output is deterministic for fixed inputs: no timestamps, no randomness.
 Exit status 0 on success, 1 on a domain or input error (one machine-readable
 error object goes to stderr), 2 on usage errors.
+
+Each subcommand imports the layers it uses when it runs, so a cold call
+pays only for those: `witt`, `hall` and `region` never load the Magnus,
+ideal, Johnson or symplectic layers.
 """
 
 import argparse
@@ -12,14 +16,6 @@ import sys
 
 from . import serialize
 from .errors import LietauError, PreconditionError
-from .hall import hall_basis, tree_to_str, witt
-from .johnson import johnson_depth, jprime_depth, tau, tau1
-from .obstruction import grade_decompose, robustness_scan
-from .region import holds_csv, region_table, region_text_table, rhs_csv
-from .surface import SurfaceModel
-from .symplectic import (eigen_pm1_condition, invariant_lagrangian_report,
-                         is_symplectic)
-from .words import Alphabet, surface_alphabet
 
 CONFIG_ENV = "LIETAU_CONFIG"
 _DEFAULTS = {"cap": 8, "height": 2, "format": "table"}
@@ -33,7 +29,7 @@ def load_config(path=None, overrides=None):
     path = path or os.environ.get(CONFIG_ENV)
     if path:
         with open(path) as fh:
-            data = json.load(fh)
+            data = _decode(fh.read())
         if not isinstance(data, dict):
             raise PreconditionError("config must be a JSON object")
         unknown = sorted(set(data) - set(_DEFAULTS) - _RETIRED)
@@ -58,13 +54,22 @@ def load_config(path=None, overrides=None):
     return cfg
 
 
+def _decode(text):
+    """`json.loads`, with nesting too deep for the decoder's recursion
+    reported as bad JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep", text, 0) from None
+
+
 def _read_json_arg(arg):
     """Inline JSON if the argument looks like JSON, otherwise a file path."""
     s = arg.strip()
     if s.startswith("{") or s.startswith("["):
-        return json.loads(s)
+        return _decode(s)
     with open(arg) as fh:
-        return json.load(fh)
+        return _decode(fh.read())
 
 
 def _emit(text, end="\n"):
@@ -72,11 +77,14 @@ def _emit(text, end="\n"):
 
 
 def cmd_witt(args, cfg):
+    from .hall import witt
     _emit(str(witt(args.k, args.g)))
     return 0
 
 
 def cmd_hall(args, cfg):
+    from .hall import hall_basis, tree_to_str
+    from .words import Alphabet, surface_alphabet
     if args.genus is not None:
         alphabet = surface_alphabet(args.genus)
     elif args.alphabet:
@@ -89,6 +97,8 @@ def cmd_hall(args, cfg):
 
 
 def cmd_rank(args, cfg):
+    from .hall import witt
+    from .surface import SurfaceModel
     model = SurfaceModel(args.genus)
     if args.ring == "free":
         rank, torsion = witt(args.k, 2 * args.genus), ()
@@ -108,6 +118,7 @@ def cmd_rank(args, cfg):
 
 
 def cmd_depth(args, cfg):
+    from .johnson import johnson_depth, jprime_depth
     f = serialize.parse_mapping_class(_read_json_arg(args.map))
     cap = cfg["cap"]
     jd = johnson_depth(f, cap)
@@ -118,6 +129,7 @@ def cmd_depth(args, cfg):
 
 
 def cmd_tau(args, cfg):
+    from .johnson import tau, tau1
     f = serialize.parse_mapping_class(_read_json_arg(args.map))
     value = tau1(f, args.k) if args.free else tau(f, args.k)
     _emit(serialize.dumps(serialize.tau_json(value)))
@@ -125,6 +137,8 @@ def cmd_tau(args, cfg):
 
 
 def cmd_obstruct(args, cfg):
+    from .johnson import tau
+    from .obstruction import grade_decompose
     f = serialize.parse_mapping_class(_read_json_arg(args.map))
     lag = serialize.parse_lagrangian(_read_json_arg(args.lagrangian))
     value = tau(f, args.k)
@@ -141,6 +155,7 @@ def cmd_obstruct(args, cfg):
 
 
 def cmd_scan(args, cfg):
+    from .obstruction import robustness_scan
     f = serialize.parse_mapping_class(_read_json_arg(args.map))
     extra = []
     if args.lagrangians:
@@ -158,6 +173,7 @@ def cmd_scan(args, cfg):
 
 
 def cmd_region(args, cfg):
+    from .region import holds_csv, region_table, region_text_table, rhs_csv
     if args.kmax < 2 or args.gmax < 2:
         raise PreconditionError("region needs --kmax and --gmax >= 2")
     fmt = cfg["format"]
@@ -173,6 +189,8 @@ def cmd_region(args, cfg):
 
 
 def cmd_matrix_check(args, cfg):
+    from .symplectic import (eigen_pm1_condition, invariant_lagrangian_report,
+                             is_symplectic)
     mat = serialize.parse_matrix(_read_json_arg(args.matrix))
     out = {"size": len(mat), "symplectic": is_symplectic(mat)}
     if out["symplectic"]:

@@ -3,17 +3,15 @@
 JSON is the single interchange format; integers whose magnitude exceeds
 53 bits are emitted as decimal strings so lossy consumers cannot corrupt
 them, and the parsers accept both representations.
+
+Only `json` and `errors` load with this module: each parser and formatter
+imports the layers it reads, so a CLI call that never reads a mapping class
+does not load the Johnson layer.
 """
 
 import json
 
 from .errors import PreconditionError, UnknownGeneratorError
-from .johnson import MappingClassData, TauValue
-from .lie import lie_from_json, lie_to_json
-from .surface import SurfaceModel
-from .symplectic import Lagrangian
-from .words import (GroupEndomorphism, word_from_pairs, word_from_str,
-                    word_to_pairs)
 
 _BIG = 1 << 53
 
@@ -48,6 +46,7 @@ def parse_int(v):
 
 def parse_word(alphabet, obj):
     """Accept the compact string form or the [[name, exponent], ...] array."""
+    from .words import word_from_pairs, word_from_str
     if isinstance(obj, str):
         return word_from_str(alphabet, obj)
     if isinstance(obj, list):
@@ -56,6 +55,7 @@ def parse_word(alphabet, obj):
 
 
 def word_json(w):
+    from .words import word_to_pairs
     return word_to_pairs(w)
 
 
@@ -73,6 +73,7 @@ def parse_matrix(obj):
 
 
 def parse_lagrangian(obj):
+    from .symplectic import Lagrangian
     if not isinstance(obj, dict) or "genus" not in obj or "span" not in obj:
         raise PreconditionError('Lagrangian JSON needs "genus" and "span"')
     genus = parse_int(obj["genus"])
@@ -85,6 +86,9 @@ def lagrangian_json(lag):
 
 
 def parse_mapping_class(obj, model=None):
+    from .johnson import MappingClassData
+    from .surface import SurfaceModel
+    from .words import GroupEndomorphism
     if not isinstance(obj, dict) or "genus" not in obj:
         raise PreconditionError('mapping class JSON needs "genus" and "images"')
     genus = parse_int(obj["genus"])
@@ -110,6 +114,7 @@ def mapping_class_json(f):
 
 
 def tau_json(tv):
+    from .lie import lie_to_json
     names = tv.model.alphabet.names
     return {"k": tv.k,
             "free": tv.free,
@@ -118,6 +123,8 @@ def tau_json(tv):
 
 
 def parse_tau(obj, model):
+    from .johnson import TauValue
+    from .lie import lie_from_json
     k = parse_int(obj["k"])
     terms = {}
     for name, lj in obj["terms"]:

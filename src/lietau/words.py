@@ -34,6 +34,7 @@ validated Words.
 from array import array
 from collections import Counter
 from itertools import groupby
+from sys import maxsize
 
 from .errors import UnknownGeneratorError
 
@@ -337,6 +338,10 @@ def _power(alphabet, name, exp):
                                     alphabet=alphabet.names)
     i = alphabet.index[name] + 1
     exp = int(exp)
+    if abs(exp) > maxsize:
+        # longer than any sequence can be; refused before allocating
+        raise UnknownGeneratorError("bad exponent for %r: more than %d letters"
+                                    % (name, maxsize))
     return [i if exp > 0 else -i] * abs(exp)
 
 

@@ -359,3 +359,26 @@ def test_parse_lagrangian_roundtrip():
     obj = {"genus": 2, "span": [[1, 0, 0, 0], [0, 1, 0, 0]]}
     lag = parse_lagrangian(obj)
     assert lag.genus == 2
+
+
+@pytest.mark.parametrize("word", ["a1^99999999999999999999",
+                                  [["a1", "-99999999999999999999"]]])
+def test_huge_exponent_is_refused(capsys, word):
+    blob = json.dumps({"genus": 2, "images": {"a1": word}})
+    code, out, err = run(capsys, "tau", "--k", "2", "--map", blob)
+    assert (code, out) == (1, "")
+    data = json.loads(err)
+    assert data["error"] == "unknown-generator"
+    assert "bad exponent" in data["message"]
+
+
+@pytest.mark.parametrize("option", ["--map", "--config"])
+def test_deeply_nested_json_is_bad_json(tmp_path, capsys, option):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    argv = (["--config", str(deep), "depth", "--map", '{"genus":2,"images":{}}']
+            if option == "--config" else ["depth", "--map", str(deep)])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "bad-json"
