@@ -1,20 +1,103 @@
 """Johnson filtration depths and the homomorphisms sigma, eta, tau.
 
-A mapping class is carried by its action on the free fundamental group of
-the once-punctured surface; fixing the boundary pointwise means fixing the
-relator r0 on the nose, which is checked at construction.  Depth in the
-filtration is the least lower-central weight of a generator defect
-phi(x) x^-1; tau_k is eta^-1 after the defect-class homomorphism sigma.
+A mapping class is given by its action on the free fundamental group of
+the once-punctured surface, as generator image words; fixing the boundary
+pointwise means fixing the relator r0 on the nose, which is checked on the
+words at construction.  Words serve only there, at I/O and at the leaves
+of a composite: every depth and Johnson value is read from the truncated
+Magnus action X_i -> M(phi(x_i)) at the cap it needs (Morita, Duke Math.
+J. 70, 1993; Kitano, Topology Appl. 69, 1996).  Depth in the filtration is
+the least positive degree of a generator defect series
+D_i = M(phi(x_i)) M(x_i)^-1; tau_k is eta^-1 after the defect-class
+homomorphism sigma, which reads the degree-k parts of the D_i.
+
+A class built by `compose` keeps the action sources of its factors, and
+its action at a cap is theirs composed by series substitution, whenever
+its own image words hold more letters than the factors' sources would
+expand; otherwise it expands its own words.  So a long composite of short
+factors never has its images expanded letter by letter.
 """
+
+import threading
 
 from .errors import (DepthTooShallowError, PreconditionError,
                      RelationViolatedError, WeightTooLowError)
 from .lie import LieElement
-from .magnus import leading_class, weight_of
+from .magnus import NilpotentAction, component_to_lie, leading_class
 from .surface import surface_class
 from .words import GroupEndomorphism, Word
 
 DEFAULT_CAP = 8
+
+
+class _ActionSource:
+    """What a mapping class's truncated Magnus action is computed from:
+    its generator images (a leaf), or the sources of the two factors it
+    was composed of (outer after inner).
+
+    `letters` counts the image letters the leaves below expand.  The
+    actions are cached per cap; evaluation walks the sources with an
+    explicit stack, so a chain of any depth evaluates, and keeps only the
+    asked source's action and the leaves'.
+    """
+
+    __slots__ = ("images", "outer", "inner", "letters", "_cache", "_lock")
+
+    def __init__(self, images=None, outer=None, inner=None):
+        self.images = images
+        self.outer = outer
+        self.inner = inner
+        self.letters = (sum(map(len, images)) if images is not None
+                        else outer.letters + inner.letters)
+        self._cache = {}
+        self._lock = threading.Lock()
+
+    def _cached(self, cap):
+        with self._lock:
+            return self._cache.get(cap)
+
+    def _store(self, cap, action):
+        with self._lock:
+            return self._cache.setdefault(cap, action)
+
+    def action(self, cap):
+        got = self._cached(cap)
+        if got is not None:
+            return got
+        # the sources to evaluate, children before parents, and how many
+        # of them read each one
+        order, readers, values = [], {}, {}
+        stack, seen = [(self, False)], set()
+        while stack:
+            s, expanded = stack.pop()
+            if expanded:
+                order.append(s)
+                continue
+            if id(s) in seen:
+                continue
+            seen.add(id(s))
+            stack.append((s, True))
+            if s.images is None:
+                for child in (s.inner, s.outer):
+                    readers[id(child)] = readers.get(id(child), 0) + 1
+                    if id(child) not in seen:
+                        got = child._cached(cap)
+                        if got is None:
+                            stack.append((child, False))
+                        else:
+                            seen.add(id(child))
+                            values[id(child)] = got
+        for s in order:
+            if s.images is not None:
+                act = s._store(cap, NilpotentAction.of_words(s.images, cap))
+            else:
+                act = values[id(s.outer)].after(values[id(s.inner)])
+                for child in (s.outer, s.inner):
+                    readers[id(child)] -= 1
+                    if not readers[id(child)]:
+                        del values[id(child)]
+            values[id(s)] = act
+        return self._store(cap, values[id(self)])
 
 
 class MappingClassData:
@@ -28,6 +111,7 @@ class MappingClassData:
                 "generator images do not fix the boundary relator")
         self.model = model
         self.endo = endo
+        self._source = _ActionSource(endo.images)
         self._invertible_checked = False
 
     def __eq__(self, other):
@@ -38,10 +122,18 @@ class MappingClassData:
     def __hash__(self):
         return hash(self.endo)
 
+    def action(self, cap):
+        """The truncated Magnus action through cap, as a NilpotentAction;
+        cached per cap."""
+        if cap < 1:
+            raise PreconditionError("cap must be >= 1")
+        return self._source.action(cap)
+
     def h1_matrix(self):
         """Induced matrix on homology; column j is the class of phi(gen j)."""
-        cols = [img.exponent_sums() for img in self.endo.images]
-        return [list(row) for row in zip(*cols)]
+        n = len(self.model.alphabet)
+        return [[s.coeffs.get((i,), 0) for s in self.action(1).images]
+                for i in range(n)]
 
     def check_invertible(self):
         """Invertibility on every nilpotent quotient reduces to homology."""
@@ -62,7 +154,11 @@ class MappingClassData:
         """self after other, as mapping classes."""
         if self.model.genus != other.model.genus:
             raise PreconditionError("genus mismatch in composition")
-        return MappingClassData(self.model, self.endo.compose(other.endo))
+        out = MappingClassData(self.model, self.endo.compose(other.endo))
+        outer, inner = self._source, other._source
+        if out._source.letters > outer.letters + inner.letters:
+            out._source = _ActionSource(outer=outer, inner=inner)
+        return out
 
     def __repr__(self):
         return "MappingClassData(genus=%d, %r)" % (self.model.genus, self.endo)
@@ -147,28 +243,42 @@ def braid_automorphism(model, lambdas):
 
 
 def johnson_depth(f, cap=DEFAULT_CAP):
-    """Least lower-central weight of a generator defect, or None for >= cap."""
+    """Least lower-central weight of a generator defect, or None for >= cap.
+
+    Reads the defect series at caps 1, 2, ...: the first cap with a nonzero
+    positive-degree term gives the depth.
+    """
     f.check_invertible()
-    best = None
-    for i in range(len(f.model.alphabet)):
-        w = weight_of(f.defect(i), cap)
-        if w is not None and (best is None or w < best):
-            best = w
-            if best == 1:
-                break
-    return best
+    n = len(f.model.alphabet)
+    for c in range(1, cap + 1):
+        act = f.action(c)
+        if any(act.defect(i).min_positive_degree() for i in range(n)):
+            return c
+    return None
 
 
 def jprime_depth(f, cap=DEFAULT_CAP):
     """Same as johnson_depth but with defects measured in the closed-surface
-    group: a defect only counts with its leading weight modulo the relator."""
+    group: a defect only counts with its leading weight modulo the relator.
+
+    Each defect's class lies at or above its free weight, so once a weight
+    is found, the later defects are walked only below it.
+    """
     f.check_invertible()
     best = None
     for i in range(len(f.model.alphabet)):
-        got = surface_class(f.model, f.defect(i), cap)
-        if got is not None and (best is None or got[0] < best):
+        top = cap if best is None else best - 1
+        if top < 1:
+            break
+        got = surface_class(f.model, _defect_series(f, i), top)
+        if got is not None:
             best = got[0]
     return best
+
+
+def _defect_series(f, i):
+    """The series source of f's i-th defect, for `surface_class`."""
+    return lambda cap: f.action(cap).defect(i)
 
 
 class HomValue:
@@ -275,18 +385,22 @@ def _defect_classes(f, k):
     """Free weight-k class of every generator defect, in generator order.
 
     Raises DepthTooShallowError for the first defect with a nonzero term in
-    a degree below k; the class and that check come from one expansion.
+    a degree below k, with the least such degree; the classes and that
+    check come from the one action at cap k.
     """
     if k < 1:
         raise PreconditionError("weight must be >= 1")
+    act = f.action(k)
+    n = len(f.model.alphabet)
     out = []
     for i, name in enumerate(f.model.alphabet.names):
-        w, e = leading_class(f.defect(i), k)
-        if w is not None:
+        d = act.defect(i)
+        w = d.min_positive_degree()
+        if w is not None and w < k:
             raise DepthTooShallowError(
                 "defect of generator %s has weight %d < %d" % (name, w, k),
                 weight=w)
-        out.append(e)
+        out.append(component_to_lie(d.degree_component(k), k, n))
     return out
 
 

@@ -19,6 +19,15 @@ is adds the sum over j of (-1)^j S X_i^j; by Horner's rule that product is
 the T with T = S - T X_i, filled degree by degree upwards.  Both steps touch
 each term of S below the cap once and drop everything above it, so a letter
 costs O(|S|) and long words never form products of two large series.
+
+A mapping class is read through its truncated Magnus action, a
+`NilpotentAction`: the series A_i = M(phi(x_i)) of its generator images at
+one cap.  The action of a composite is one factor's series substituted into
+the other's (X_i -> A_i - 1), and a generator defect's series is
+A_i M(x_i)^-1 in closed form, so depths and Johnson values of a long
+composite come from its short factors.  Words are expanded only at the
+leaves of a composite, for I/O and for words given directly; the boundary
+relator is checked on words.
 """
 
 from functools import lru_cache
@@ -84,9 +93,15 @@ class MagnusSeries:
                     out[m] = v
                 else:
                     del out[m]
+        return MagnusSeries._of(cap, out)
+
+    @staticmethod
+    def _of(cap, coeffs):
+        """A series owning coeffs, known to hold only nonzero integer
+        coefficients on monomial tuples of degree <= cap."""
         s = MagnusSeries.__new__(MagnusSeries)
         object.__setattr__(s, "cap", cap)
-        object.__setattr__(s, "coeffs", out)
+        object.__setattr__(s, "coeffs", coeffs)
         return s
 
     def inverse(self):
@@ -154,8 +169,105 @@ def magnus(w, cap):
     return _magnus_cached(w, cap)
 
 
-def series_commutator(su, sv):
-    return su * sv * su.inverse() * sv.inverse()
+def _times(p, y, cap):
+    """p * y through degree cap; y[d] lists the (monomial, coefficient)
+    pairs of y in degree d >= 1, and y has no constant term."""
+    out = {}
+    for m1, c1 in p.items():
+        for d in range(1, cap - len(m1) + 1):
+            for m2, c2 in y[d]:
+                m = m1 + m2
+                out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+class NilpotentAction:
+    """The action of an endomorphism phi of the free group on the quotient
+    by its (cap+1)-th lower central term, held as the series
+    A_i = M(phi(x_i)) of the generator images, exact through the cap.
+
+    It determines every Magnus invariant of phi through the cap without the
+    image words: the image of any word is its expansion with X_i read as
+    A_i - 1, so composing maps is series substitution, whose cost does not
+    depend on how long the words are.
+    """
+
+    __slots__ = ("cap", "images")
+
+    def __init__(self, cap, images):
+        self.cap = cap
+        self.images = tuple(images)
+
+    @staticmethod
+    def of_words(images, cap):
+        """The action of the endomorphism with these generator images: each
+        expanded by `magnus`, or read off its exponent sums at cap 1."""
+        if cap > 1:
+            return NilpotentAction(cap, [magnus(w, cap) for w in images])
+        series = []
+        for w in images:
+            coeffs = {(j,): s for j, s in enumerate(w.exponent_sums()) if s}
+            coeffs[()] = 1
+            series.append(MagnusSeries._of(1, coeffs))
+        return NilpotentAction(1, series)
+
+    def after(self, inner):
+        """The action of this map after inner's: each series of inner with
+        every X_i read as A_i - 1.
+
+        The products of the A_i - 1 along a monomial's prefixes are kept,
+        so monomials sharing a prefix, in one image or another, share its
+        product; each is truncated at the cap as it is formed.
+        """
+        cap = self.cap
+        if inner.cap != cap:
+            raise ValueError("actions at caps %d and %d" % (cap, inner.cap))
+        ys = []
+        for s in self.images:
+            y = [[] for _ in range(cap + 1)]
+            for m, c in s.coeffs.items():
+                if m:
+                    y[len(m)].append((m, c))
+            ys.append(y)
+        prods = {(): {(): 1}}
+        images = []
+        for s in inner.images:
+            acc = {}
+            for m, c in s.coeffs.items():
+                p = prods.get(m)
+                if p is None:
+                    j = len(m) - 1
+                    while m[:j] not in prods:
+                        j -= 1
+                    p = prods[m[:j]]
+                    for t in range(j, len(m)):
+                        p = _times(p, ys[m[t]], cap)
+                        prods[m[:t + 1]] = p
+                for mm, v in p.items():
+                    acc[mm] = acc.get(mm, 0) + c * v
+            images.append(MagnusSeries._of(
+                cap, {m: v for m, v in acc.items() if v}))
+        return NilpotentAction(cap, images)
+
+    def defect(self, i):
+        """The series of phi(x_i) x_i^-1, that is A_i (1 - X_i + X_i^2 - ...)."""
+        out = {}
+        for m, c in self.images[i].coeffs.items():
+            for d in range(self.cap - len(m) + 1):
+                mm = m + (i,) * d
+                v = out.get(mm, 0) + (-c if d & 1 else c)
+                if v:
+                    out[mm] = v
+                else:
+                    del out[mm]
+        return MagnusSeries._of(self.cap, out)
+
+    def __eq__(self, other):
+        return (isinstance(other, NilpotentAction) and self.cap == other.cap
+                and self.images == other.images)
+
+    def __repr__(self):
+        return "NilpotentAction(cap=%d, %r)" % (self.cap, list(self.images))
 
 
 def weight_of(w, cap):
@@ -247,39 +359,23 @@ def lie_class_at(w, k, cap=None):
 def induced_lie_map(phi, e, cap):
     """Image of a homogeneous class under the graded map induced by phi.
 
-    Lifts each basic commutator to its group word, pushes it through phi, and
-    takes the degree-(weight) component; the result is zero when every image
-    sits deeper.
+    The class's associative expansion is a homogeneous polynomial of degree
+    i = weight, so the degree-i part of its image under X_j -> M(phi(x_j)) - 1
+    reads only the degree-1 parts of the series, phi's action on homology:
+    one substitution of those at cap i gives the image, which is zero when
+    every image sits deeper.
     """
     i = e.weight
     if i > cap:
         raise PreconditionError("weight %d exceeds cap %d" % (i, cap))
     if e.is_zero():
         return e
-    n = len(phi.alphabet)
-    leaf_series = {}
-    memo = {}
-
-    def ser(t):
-        got = memo.get(t)
-        if got is not None:
-            return got
-        if t.is_leaf():
-            got = leaf_series.get(t.leaf)
-            if got is None:
-                got = magnus(phi.images[t.leaf], i)
-                leaf_series[t.leaf] = got
-        else:
-            got = series_commutator(ser(t.left), ser(t.right))
-        memo[t] = got
-        return got
-
-    component = {}
+    expansion = {}
     for t, c in e.terms.items():
-        for m, v in ser(t).degree_component(i).items():
-            val = component.get(m, 0) + c * v
-            if val:
-                component[m] = val
-            else:
-                del component[m]
-    return component_to_lie(component, i, n)
+        for m, v in expand_associative(t).items():
+            expansion[m] = expansion.get(m, 0) + c * v
+    linear = [MagnusSeries._of(i, s.coeffs)
+              for s in NilpotentAction.of_words(phi.images, 1).images]
+    image, = NilpotentAction(i, linear).after(
+        NilpotentAction(i, [MagnusSeries(i, expansion)])).images
+    return component_to_lie(image.coeffs, i, len(phi.alphabet))

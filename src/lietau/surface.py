@@ -6,15 +6,21 @@ puncture imposes r0, and the associated graded Lie ring is the free Lie ring
 modulo the ideal generated by the symplectic class; filling the standard
 handlebody kills the a-generators instead, leaving the free Lie ring on the
 b-letters.
+
+`surface_class` walks an element's Magnus series cap by cap: a word's
+expansion, or a mapping-class defect read from the class's truncated
+action, and applies its corrections as products with the series of the
+ideal's lift words.
 """
 
 import threading
+from functools import partial
 
 from .errors import InternalFault, UnexpectedTorsionError
 from .hall import HallTree
 from .ideals import GradedIdeal
 from .lie import LieElement, bracket
-from .magnus import lie_class_at, weight_of
+from .magnus import component_to_lie, lie_class_at, magnus, weight_of
 from .words import Alphabet, Word, commutator, surface_alphabet
 
 
@@ -92,22 +98,45 @@ class SurfaceModel:
 
 
 def surface_class(model, w, cap):
-    """Leading graded class of a word in the closed-surface Lie ring.
+    """Leading graded class of a group element in the closed-surface Lie ring.
 
-    Walks up the weights: the free leading term is reduced modulo the
-    symplectic ideal; a nonzero normal form is the answer.  Otherwise the
-    leading term is expressed as an integer combination of spanning vectors
-    and the word is multiplied by the inverses of their group-word lifts,
-    pushing it one weight deeper, and the walk continues up to the cap.
+    w is a Word over the surface alphabet, or a series source: a function
+    giving, for a cap, the element's Magnus series exact through that cap
+    (a mapping class's defect reads its action this way).  A Word is read
+    through `magnus`.
+
+    Walks up the weights, one cap at a time: the least positive degree of
+    the series is the free weight k, and its degree-k part the free leading
+    term, which is reduced modulo the symplectic ideal; a nonzero normal
+    form is the answer.  Otherwise the leading term is expressed as an
+    integer combination of spanning vectors and the element is multiplied
+    by the inverses of their group-word lifts, as series at each cap from
+    then on, pushing it one weight deeper, and the walk continues up to the
+    cap.
 
     Returns (weight, QuotientClass) or None for trivial-up-to-cap.
     """
-    if w.alphabet != model.alphabet:
-        raise ValueError("word is not over the surface alphabet")
+    if isinstance(w, Word):
+        if w.alphabet != model.alphabet:
+            raise ValueError("word is not over the surface alphabet")
+        series = partial(magnus, w)
+    else:
+        series = w
     ideal = model.symplectic_ideal()
-    k = weight_of(w, cap)
-    while k is not None:
-        e = lie_class_at(w, k)
+    n = len(model.alphabet)
+    fixes = []  # words whose series multiply the element's, in order
+    low = 1     # every degree below low vanishes
+    for c in range(1, cap + 1):
+        s = series(c)
+        for u in fixes:
+            s = s * magnus(u, c)
+        k = s.min_positive_degree()
+        if k is None:
+            continue
+        if k < low:
+            raise InternalFault("correction did not deepen the word",
+                                weight=low - 1)
+        e = component_to_lie(s.degree_component(k), k, n)
         q = ideal.reduce(e)
         if q.torsion:
             raise UnexpectedTorsionError(
@@ -120,12 +149,8 @@ def surface_class(model, w, cap):
             raise InternalFault(
                 "normal form vanished but no integer combination found",
                 weight=k)
-        for c, lift in combo:
-            w = w * lift ** (-c)
-        nk = weight_of(w, cap)
-        if nk is not None and nk <= k:
-            raise InternalFault("correction did not deepen the word", weight=k)
-        k = nk
+        fixes.extend(lift ** (-coeff) for coeff, lift in combo)
+        low = k + 1
     return None
 
 

@@ -113,10 +113,12 @@ def _inverse(buf):
 
 
 def _append(out, fwd, back):
-    """Append the word with reduced codes fwd, whose inverse has the codes
-    back, to the reduced code array out, cancelling at the junction."""
-    n, m = len(out), len(fwd)
-    lim = n if n < m else m
+    """Append the word with reduced codes fwd to the reduced code array
+    out, cancelling at the junction.  back holds the codes of the inverse
+    of fwd's first m letters, for some m >= min(len(out), len(fwd)): all
+    of fwd, or only the stretch the junction can compare."""
+    n, m = len(out), len(back)
+    lim = n if n < len(fwd) else len(fwd)
     c = 0
     if lim and out[-1] == back[-1]:
         # out[n-e:n-c] cancels against letters c..e-1 of fwd, that is, it
@@ -230,7 +232,12 @@ class Word:
         if self.alphabet != other.alphabet:
             raise UnknownGeneratorError("words over different alphabets")
         out = self.buf[:]
-        _append(out, other.buf, _inverse(other.buf))
+        fwd = other.buf
+        if out and fwd and out[-1] == ~fwd[0]:
+            # the junction compares at most len(out) letters of fwd
+            _append(out, fwd, _inverse(fwd[:len(out)]))
+        else:
+            out.extend(fwd)
         return Word._reduced(self.alphabet, out)
 
     def __invert__(self):

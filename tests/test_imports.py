@@ -139,6 +139,15 @@ def test_light_commands_skip_heavy_layers(argv):
                          "obstruction"}
 
 
+def test_free_rank_skips_surface_layers():
+    argv = ["rank", "--k", "3", "--genus", "2", "--ring", "free"]
+    assert not _loaded_by(argv) & {"surface", "ideals", "magnus"}
+    out = _python("-m", "lietau.cli", *argv)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        0, '{"genus": 2, "k": 3, "rank": 20, "ring": "free", "torsion": []}\n',
+        "")
+
+
 def test_matrix_check_skips_johnson_layers():
     loaded = _loaded_by(["matrix-check", "--matrix", "[[0,-1],[1,1]]"])
     assert "symplectic" in loaded
