@@ -7,9 +7,10 @@ torsion and, on request, combination tracking.  A tracked lattice also
 records the combinations of inserted vectors that reduce to zero; its xgcd
 steps are unimodular, so these relations span the integer kernel (Cohen,
 GTM 138, section 2.4), and `int_kernel_basis` and `saturate_rows` are built
-on them.  Besides it: Hermite and Smith forms, Bareiss determinants and
-characteristic polynomials (Faddeev-LeVerrier, whose traces divide
-exactly).  `magnus` solves Hall coordinates with a tracked `IntLattice`
+on them.  It is the only elimination here: Hermite rows, Smith divisors
+and kernels are all read from lattices, and only the characteristic
+polynomial (Faddeev-LeVerrier, whose traces divide exactly) is computed
+beside it.  `magnus` solves Hall coordinates with a tracked `IntLattice`
 too; Fractions remain only in the number-field arithmetic of `symplectic`,
 which is rational by nature.
 
@@ -29,6 +30,7 @@ matrix only.
 """
 
 from bisect import insort
+from math import gcd
 
 from .errors import InternalFault
 
@@ -225,104 +227,31 @@ class IntLattice:
 
 
 def smith_divisors(rows):
-    """Nonzero diagonal entries of the Smith normal form (no transforms)."""
-    a = [list(map(int, r)) for r in rows]
-    if not a or not a[0]:
-        return []
-    m, n = len(a), len(a[0])
-    divisors = []
-    top = 0
-    while top < min(m, n):
-        # find a nonzero entry at or below/right of (top, top)
-        found = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j]:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
+    """Nonzero diagonal entries of the Smith normal form, ascending.
+
+    Kannan-Bachem (Cohen, GTM 138, section 2.4): echelon the rows in an
+    `IntLattice`, then the rows of the transpose (the columns), and so on
+    until every row holds only its pivot.  Each pass is unimodular, so the
+    Smith form is kept; a pivot that does not divide the rest of its row
+    drops to a proper divisor in the next pass, and one that does has the
+    row cleared.  The diagonal then becomes a divisor chain by (gcd, lcm)
+    swaps.
+    """
+    rows = [list(map(int, r)) for r in rows]
+    while True:
+        lat = IntLattice(len(rows[0]) if rows else 0)
+        for r in rows:
+            lat.add(r)
+        if all(len(lat.rows[j]) == 1 for j in lat.pivots):
             break
-        i, j = found
-        a[top], a[i] = a[i], a[top]
-        for r in a:
-            r[top], r[j] = r[j], r[top]
-        while True:
-            # clear column `top`; exact division is pure elimination, which
-            # leaves the pivot row untouched, so only gcd steps can re-dirty
-            for i in range(top + 1, m):
-                if a[i][top]:
-                    if a[i][top] % a[top][top] == 0:
-                        q = a[i][top] // a[top][top]
-                        for jj in range(n):
-                            a[i][jj] -= q * a[top][jj]
-                    else:
-                        x, y, g = xgcd(a[top][top], a[i][top])
-                        p, q = a[top][top] // g, a[i][top] // g
-                        for jj in range(n):
-                            u, v = a[top][jj], a[i][jj]
-                            a[top][jj] = x * u + y * v
-                            a[i][jj] = -q * u + p * v
-            # clear row `top`
-            for j in range(top + 1, n):
-                if a[top][j]:
-                    if a[top][j] % a[top][top] == 0:
-                        q = a[top][j] // a[top][top]
-                        for ii in range(m):
-                            a[ii][j] -= q * a[ii][top]
-                    else:
-                        x, y, g = xgcd(a[top][top], a[top][j])
-                        p, q = a[top][top] // g, a[top][j] // g
-                        for ii in range(m):
-                            u, v = a[ii][top], a[ii][j]
-                            a[ii][top] = x * u + y * v
-                            a[ii][j] = -q * u + p * v
-            if (all(a[i][top] == 0 for i in range(top + 1, m))
-                    and all(a[top][j] == 0 for j in range(top + 1, n))):
-                break
-        # ensure divisibility into the remaining block
-        d = abs(a[top][top])
-        fixed = False
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if a[i][j] % d:
-                    for jj in range(n):
-                        a[top][jj] += a[i][jj]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        divisors.append(d)
-        top += 1
+        rows = transpose(lat.matrix())
+    divisors = [lat.rows[j][j] for j in lat.pivots]
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            a, b = divisors[i], divisors[j]
+            g = gcd(a, b)
+            divisors[i], divisors[j] = g, a // g * b
     return divisors
-
-
-def bareiss_det(mat):
-    """Exact determinant of a square integer matrix."""
-    a = [list(map(int, r)) for r in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
 
 
 def charpoly(mat):

@@ -106,13 +106,17 @@ class MappingClassData:
     def __init__(self, model, endo):
         if endo.alphabet != model.alphabet:
             raise RelationViolatedError("endomorphism over the wrong alphabet")
+        # This check also makes phi invertible on homology, hence on every
+        # nilpotent quotient: r0 has class omega = sum a_i ^ b_i in
+        # Gamma_2/Gamma_3 = Lambda^2 H, and phi(r0) = r0 gives
+        # Lambda^2 M (omega) = omega for the matrix M of phi on H, that is
+        # M^T J M = J, so det M = +-1.
         if endo.apply(model.relator) != model.relator:
             raise RelationViolatedError(
                 "generator images do not fix the boundary relator")
         self.model = model
         self.endo = endo
         self._source = _ActionSource(endo.images)
-        self._invertible_checked = False
 
     def __eq__(self, other):
         return (isinstance(other, MappingClassData)
@@ -128,22 +132,6 @@ class MappingClassData:
         if cap < 1:
             raise PreconditionError("cap must be >= 1")
         return self._source.action(cap)
-
-    def h1_matrix(self):
-        """Induced matrix on homology; column j is the class of phi(gen j)."""
-        n = len(self.model.alphabet)
-        return [[s.coeffs.get((i,), 0) for s in self.action(1).images]
-                for i in range(n)]
-
-    def check_invertible(self):
-        """Invertibility on every nilpotent quotient reduces to homology."""
-        if self._invertible_checked:
-            return
-        from .intlinalg import bareiss_det
-        if bareiss_det(self.h1_matrix()) not in (1, -1):
-            raise PreconditionError(
-                "generator images are not invertible on homology")
-        self._invertible_checked = True
 
     def defect(self, index):
         """phi(x) x^-1 for the 0-based generator index."""
@@ -248,7 +236,6 @@ def johnson_depth(f, cap=DEFAULT_CAP):
     Reads the defect series at caps 1, 2, ...: the first cap with a nonzero
     positive-degree term gives the depth.
     """
-    f.check_invertible()
     n = len(f.model.alphabet)
     for c in range(1, cap + 1):
         act = f.action(c)
@@ -264,7 +251,6 @@ def jprime_depth(f, cap=DEFAULT_CAP):
     Each defect's class lies at or above its free weight, so once a weight
     is found, the later defects are walked only below it.
     """
-    f.check_invertible()
     best = None
     for i in range(len(f.model.alphabet)):
         top = cap if best is None else best - 1
@@ -407,7 +393,6 @@ def _defect_classes(f, k):
 def sigma(f, k, free=False):
     """[x] -> class of phi(x) x^-1 in the weight-k layer of the closed
     surface, or of the free Lie ring when free is set."""
-    f.check_invertible()
     classes = _defect_classes(f, k)
     if not free:
         ideal = f.model.symplectic_ideal()

@@ -142,6 +142,10 @@ class MagnusSeries:
 
 @lru_cache(maxsize=4096)
 def _magnus_cached(w, cap):
+    if cap == 1:  # degree 1 holds the exponent sums
+        coeffs = {(j,): s for j, s in enumerate(w.exponent_sums()) if s}
+        coeffs[()] = 1
+        return MagnusSeries._of(1, coeffs)
     s = MagnusSeries.one(cap)
     by_deg = [s.coeffs] + [{} for _ in range(cap)]
     for x in w.buf:
@@ -200,16 +204,9 @@ class NilpotentAction:
 
     @staticmethod
     def of_words(images, cap):
-        """The action of the endomorphism with these generator images: each
-        expanded by `magnus`, or read off its exponent sums at cap 1."""
-        if cap > 1:
-            return NilpotentAction(cap, [magnus(w, cap) for w in images])
-        series = []
-        for w in images:
-            coeffs = {(j,): s for j, s in enumerate(w.exponent_sums()) if s}
-            coeffs[()] = 1
-            series.append(MagnusSeries._of(1, coeffs))
-        return NilpotentAction(1, series)
+        """The action of the endomorphism with these generator images, each
+        expanded by `magnus`."""
+        return NilpotentAction(cap, [magnus(w, cap) for w in images])
 
     def after(self, inner):
         """The action of this map after inner's: each series of inner with
@@ -276,11 +273,7 @@ def weight_of(w, cap):
     This equals the lower-central depth of the word since the Magnus
     filtration of a free group agrees with its lower central series.
     """
-    if not w or cap < 1:
-        return None
-    if any(w.exponent_sums()):  # degree 1, read off without series
-        return 1
-    for m in range(2, cap + 1):
+    for m in range(1, cap + 1):
         s = magnus(w, m)
         d = s.min_positive_degree()
         if d is not None:
@@ -328,10 +321,8 @@ def leading_class(w, k):
     weight-k layer of the free Lie ring).
 
     One cap-k expansion gives both, since it is exact in every degree below
-    the cap; a nonzero exponent sum gives low = 1 without expanding.
+    the cap.
     """
-    if k >= 2 and any(w.exponent_sums()):
-        return 1, None
     s = magnus(w, k)
     low = s.min_positive_degree()
     if low is not None and low < k:
@@ -339,15 +330,13 @@ def leading_class(w, k):
     return None, component_to_lie(s.degree_component(k), k, len(w.alphabet))
 
 
-def lie_class_at(w, k, cap=None):
+def lie_class_at(w, k):
     """Class of a word in the weight-k layer of the free Lie ring.
 
     Requires the word to lie in the k-th lower central term: the expansion
     must have no nonzero terms in degrees 1..k-1.  Returns the zero element
     when the word lies deeper than k.
     """
-    if cap is not None and k > cap:
-        raise PreconditionError("weight %d exceeds cap %d" % (k, cap))
     low, e = leading_class(w, k)
     if low is not None:
         raise PreconditionError(

@@ -12,10 +12,9 @@ from math import isqrt
 
 from .errors import (DimensionMismatchError, GenusTooLargeError, InternalFault,
                      NotDirectSummandError, NotIsotropicError, PreconditionError)
-from .intlinalg import (IntLattice, bareiss_det, charpoly, hermite_rows,
-                        identity_matrix, int_kernel_basis, mat_mul, mat_vec,
-                        poly_eval_matrix, saturate_rows, smith_divisors,
-                        transpose)
+from .intlinalg import (IntLattice, charpoly, hermite_rows, identity_matrix,
+                        int_kernel_basis, mat_mul, mat_vec, poly_eval_matrix,
+                        saturate_rows, transpose)
 
 
 def gram_matrix(g):
@@ -55,7 +54,7 @@ def eigen_pm1_condition(m):
     n = len(m)
     m_minus = [[m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     m_plus = [[m[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    return bareiss_det(m_minus) == 0 or bareiss_det(m_plus) == 0
+    return bool(int_kernel_basis(m_minus, n) or int_kernel_basis(m_plus, n))
 
 
 class Lagrangian:
@@ -73,13 +72,16 @@ class Lagrangian:
                 if omega(rows[i], rows[j]) != 0:
                     raise NotIsotropicError(
                         "spanning vectors %d and %d pair nontrivially" % (i, j))
-        canon = hermite_rows(rows, 2 * genus)
-        if len(canon) != genus:
+        lat = IntLattice(2 * genus)
+        for r in rows:
+            lat.add(r)
+        if lat.rank != genus:
             raise NotDirectSummandError(
-                "spanning set has rank %d, expected %d" % (len(canon), genus))
-        if any(d != 1 for d in smith_divisors(canon)):
+                "spanning set has rank %d, expected %d" % (lat.rank, genus))
+        if lat.torsion():
             raise NotDirectSummandError(
                 "span is not a direct summand (non-unit elementary divisors)")
+        canon = hermite_rows(lat.matrix(), 2 * genus)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in canon))
 

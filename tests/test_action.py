@@ -18,6 +18,7 @@ from lietau.errors import DepthTooShallowError
 from lietau.johnson import (MappingClassData, boundary_twist, johnson_depth,
                             jprime_depth, tau, tau1)
 from lietau.magnus import MagnusSeries, NilpotentAction, magnus
+from lietau.symplectic import is_symplectic
 from lietau.words import GroupEndomorphism, Word, commutator, word_to_str
 
 
@@ -112,6 +113,35 @@ def test_conjugated_braid_agrees(model_of, g3_braids):
     assert _composite_depth(f) >= 2
     assert johnson_depth(f, 4) == 3
     _assert_routes_agree(f, 3)
+
+
+def _h1_matrix(f):
+    """f on homology: column j is the class of the j-th generator image."""
+    return [[s.coeffs.get((i,), 0) for s in f.action(1).images]
+            for i in range(len(f.model.alphabet))]
+
+
+def test_fixing_the_relator_makes_the_homology_action_symplectic(
+        model_of, g3_braids):
+    # r0 has class omega = sum a_i ^ b_i in Gamma_2/Gamma_3 = Lambda^2 H, so
+    # phi(r0) = r0 gives Lambda^2 M (omega) = omega for phi's matrix M on H:
+    # M^T J M = J and det M = +-1, so a class is invertible on homology (and
+    # on every nilpotent quotient) as soon as it is built
+    m = model_of(3)
+    h = _twist(m, "b2", m.a(2)).compose(_twist(m, "a1", m.b(1)))
+    h_inv = _twist(m, "a1", ~m.b(1)).compose(_twist(m, "b2", ~m.a(2)))
+    d = g3_braids["d"].fwd
+    classes = [boundary_twist(model_of(g)) for g in (1, 2, 3)]
+    for name in ("b12", "b23", "c"):
+        classes += [g3_braids[name].fwd, g3_braids[name].bwd]
+    classes += [d, d.compose(d), h.compose(d).compose(h_inv), h, h_inv]
+    moved = 0
+    for f in classes:
+        mat = _h1_matrix(f)
+        assert is_symplectic(mat)
+        moved += any(mat[i][j] != (i == j) for i in range(len(mat))
+                     for j in range(len(mat)))
+    assert moved == 6  # b12, b23 both ways, h and h^-1 move homology
 
 
 def test_boundary_twist_chain_deeper_than_the_recursion_limit(model_of):

@@ -1,14 +1,44 @@
+import ast
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from lietau import intlinalg
 from lietau.errors import InternalFault
-from lietau.intlinalg import (IntLattice, bareiss_det, charpoly, hermite_rows,
+from lietau.intlinalg import (IntLattice, charpoly, hermite_rows,
                               int_kernel_basis, mat_vec, saturate_rows,
                               smith_divisors, transpose, xgcd)
+
+
+def _frac_det(m):
+    """Determinant of a square integer matrix by Fraction elimination."""
+    a = [[Fraction(v) for v in row] for row in m]
+    det = Fraction(1)
+    n = len(a)
+    for c in range(n):
+        piv = None
+        for r in range(c, n):
+            if a[r][c]:
+                piv = r
+                break
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        inv = 1 / a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] * inv
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
@@ -239,6 +269,78 @@ def test_smith_divisors_random_rank():
         assert len(divs) == lat.rank
 
 
+def _minor_gcd(a, i):
+    """gcd of the i x i minors of a, each from a Fraction determinant."""
+    m, n = len(a), len(a[0]) if a else 0
+    out = 0
+    for rows in combinations(range(m), i):
+        for cols in combinations(range(n), i):
+            det = _frac_det([[a[r][c] for c in cols] for r in rows])
+            assert det.denominator == 1
+            out = gcd(out, int(det))
+    return out
+
+
+def test_smith_divisors_against_minor_gcds():
+    # d_1 ... d_i is the gcd of the i x i minors, 0 beyond the rank
+    rng = random.Random(31)
+    cases = [[], [[]], [[0, 0, 0]], [[0], [0]], [[0, 0], [0, 0], [0, 0]]]
+    for _ in range(120):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        bound = rng.choice([1, 3, 12, 200])
+        a = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        kind = rng.randrange(3)
+        if kind == 1 and m > 1:
+            # a row replaced by a combination of two rows, often of lower rank
+            r, s = rng.randrange(m), rng.randrange(m)
+            a[rng.randrange(m)] = [rng.randint(-3, 3) * x + rng.randint(-3, 3) * y
+                                   for x, y in zip(a[r], a[s])]
+        elif kind == 2:
+            # a product through a narrow middle: rank at most k
+            k = rng.randint(0, min(m, n))
+            left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
+            right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+            a = [[sum(left[i][t] * right[t][j] for t in range(k))
+                  for j in range(n)] for i in range(m)]
+        cases.append(a)
+    seen = {"deficient": 0, "non_square": 0, "chain": 0}
+    for a in cases:
+        divs = smith_divisors(a)
+        size = min(len(a), len(a[0])) if a else 0
+        assert all(d > 0 for d in divs)
+        for i in range(1, size + 1):
+            assert (prod(divs[:i]) if i <= len(divs) else 0) == _minor_gcd(a, i)
+        seen["deficient"] += len(divs) < size
+        seen["non_square"] += a != [] and len(a) != len(a[0])
+        seen["chain"] += any(d > 1 for d in divs[:-1])
+    assert all(seen.values()), seen
+
+
+def test_xgcd_is_called_only_in_lattice_insertion():
+    """Every elimination goes through `IntLattice.add`: no other function
+    in the package calls xgcd."""
+    calls = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "xgcd":
+                    calls.add((scope[0], ".".join(scope[1:])))
+            walk(child, scope)
+
+    paths = sorted(Path(intlinalg.__file__).parent.glob("*.py"))
+    assert len(paths) > 10
+    for path in paths:
+        walk(ast.parse(path.read_text(), str(path)), (path.stem,))
+    assert calls == {("intlinalg", "IntLattice.add")}
+
+
 def test_hermite_rows_canonical():
     rows = [[2, 4, 0], [1, 1, 1]]
     h1 = hermite_rows(rows, 3)
@@ -261,7 +363,7 @@ def test_relations_complete_a_unimodular_transform():
                    for j in range(4))
     combos = [lat.combos[j] for j in lat.pivots] + lat.relations
     square = [[c.get(i, 0) for i in range(len(vecs))] for c in combos]
-    assert abs(bareiss_det(square)) == 1
+    assert abs(_frac_det(square)) == 1
 
 
 def _rank(mat, ncols):
@@ -303,37 +405,6 @@ def test_saturate_rows():
     assert saturate_rows([[2, 0]], 2) == [[1, 0]]
     assert saturate_rows([[2, 2], [0, 4]], 2) == [[1, 0], [0, 1]]
     assert saturate_rows([[2, 4, 6]], 3) == [[1, 2, 3]]
-
-
-def test_bareiss_det_against_fraction_elimination():
-    rng = random.Random(12)
-
-    def frac_det(m):
-        a = [[Fraction(v) for v in row] for row in m]
-        det = Fraction(1)
-        n = len(a)
-        for c in range(n):
-            piv = None
-            for r in range(c, n):
-                if a[r][c]:
-                    piv = r
-                    break
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                det = -det
-            det *= a[c][c]
-            inv = 1 / a[c][c]
-            for r in range(c + 1, n):
-                f = a[r][c] * inv
-                if f:
-                    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        return det
-
-    for _ in range(25):
-        m = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
-        assert bareiss_det(m) == frac_det(m)
 
 
 def test_charpoly_companion():
