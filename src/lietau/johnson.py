@@ -8,8 +8,9 @@ of a composite: every depth and Johnson value is read from the truncated
 Magnus action X_i -> M(phi(x_i)) at the cap it needs (Morita, Duke Math.
 J. 70, 1993; Kitano, Topology Appl. 69, 1996).  Depth in the filtration is
 the least positive degree of a generator defect series
-D_i = M(phi(x_i)) M(x_i)^-1; tau_k is eta^-1 after the defect-class
-homomorphism sigma, which reads the degree-k parts of the D_i.
+D_i = M(phi(x_i)) M(x_i)^-1, walked up the caps together (`magnus.walk`);
+tau_k is eta^-1 after the defect-class homomorphism sigma, which reads
+the degree-k classes of the D_i (`magnus.leading_class`).
 
 A class built by `compose` keeps the action sources of its factors, and
 its action at a cap is theirs composed by series substitution, whenever
@@ -19,11 +20,12 @@ factors never has its images expanded letter by letter.
 """
 
 import threading
+from itertools import islice
 
 from .errors import (DepthTooShallowError, PreconditionError,
                      RelationViolatedError, WeightTooLowError)
 from .lie import LieElement
-from .magnus import NilpotentAction, component_to_lie, leading_class
+from .magnus import NilpotentAction, leading_class, magnus, walk
 from .surface import surface_class
 from .words import GroupEndomorphism, Word
 
@@ -233,15 +235,14 @@ def braid_automorphism(model, lambdas):
 def johnson_depth(f, cap=DEFAULT_CAP):
     """Least lower-central weight of a generator defect, or None for >= cap.
 
-    Reads the defect series at caps 1, 2, ...: the first cap with a nonzero
-    positive-degree term gives the depth.
+    Walks every defect's series together, one cap at a time, so no cap
+    above the depth is read: the first cap where some defect has a class
+    gives the depth.
     """
     n = len(f.model.alphabet)
-    for c in range(1, cap + 1):
-        act = f.action(c)
-        if any(act.defect(i).min_positive_degree() for i in range(n)):
-            return c
-    return None
+    walks = [walk(_defect_series(f, i), n) for i in range(n)]
+    step = next(filter(any, islice(zip(*walks), cap)), None)
+    return None if step is None else next(filter(None, step))[0]
 
 
 def jprime_depth(f, cap=DEFAULT_CAP):
@@ -263,7 +264,7 @@ def jprime_depth(f, cap=DEFAULT_CAP):
 
 
 def _defect_series(f, i):
-    """The series source of f's i-th defect, for `surface_class`."""
+    """The series source of f's i-th defect, for `walk` and `surface_class`."""
     return lambda cap: f.action(cap).defect(i)
 
 
@@ -380,13 +381,12 @@ def _defect_classes(f, k):
     n = len(f.model.alphabet)
     out = []
     for i, name in enumerate(f.model.alphabet.names):
-        d = act.defect(i)
-        w = d.min_positive_degree()
-        if w is not None and w < k:
+        low, e = leading_class(act.defect(i), k, n)
+        if low is not None:
             raise DepthTooShallowError(
-                "defect of generator %s has weight %d < %d" % (name, w, k),
-                weight=w)
-        out.append(component_to_lie(d.degree_component(k), k, n))
+                "defect of generator %s has weight %d < %d" % (name, low, k),
+                weight=low)
+        out.append(e)
     return out
 
 
@@ -459,7 +459,7 @@ def point_push_tau(model, lambdas, k):
     for i in range(g):
         if not lams[i]:
             continue
-        w, e = leading_class(lams[i], k)
+        w, e = leading_class(magnus(lams[i], k), k, 2 * g)
         if w is not None:
             raise WeightTooLowError(
                 "push word %d has weight %d < %d" % (i + 1, w, k), weight=w)

@@ -23,19 +23,24 @@ costs O(|S|) and long words never form products of two large series.
 A mapping class is read through its truncated Magnus action, a
 `NilpotentAction`: the series A_i = M(phi(x_i)) of its generator images at
 one cap.  The action of a composite is one factor's series substituted into
-the other's (X_i -> A_i - 1), and a generator defect's series is
-A_i M(x_i)^-1 in closed form, so depths and Johnson values of a long
-composite come from its short factors.  Words are expanded only at the
-leaves of a composite, for I/O and for words given directly; the boundary
-relator is checked on words.
+the other's (X_i -> A_i - 1), and a generator defect's series is the
+product A_i M(x_i)^-1, so depths and Johnson values of a long composite
+come from its short factors.  Words are expanded only at the leaves of a
+composite, for I/O and for words given directly; the boundary relator is
+checked on words.
+
+Every truncated product is `_times`, every cap-by-cap search for a weight
+or class is `walk`, and every series read at a known weight
+`leading_class`.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import count, islice
 
-from .errors import InternalFault, PreconditionError
-from .hall import basis_block
+from .errors import InternalFault, PreconditionError, UnexpectedTorsionError
+from .hall import HallTree, basis_block
 from .intlinalg import IntLattice
-from .lie import LieElement, expand_associative
+from .lie import LieElement, expand_associative, substitute
 
 
 class MagnusSeries:
@@ -79,21 +84,8 @@ class MagnusSeries:
 
     def __mul__(self, other):
         cap = min(self.cap, other.cap)
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            room = cap - len(m1)
-            if room < 0:
-                continue
-            for m2, c2 in other.coeffs.items():
-                if len(m2) > room:
-                    continue
-                m = m1 + m2
-                v = out.get(m, 0) + c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return MagnusSeries._of(cap, out)
+        return MagnusSeries._of(
+            cap, _times(self.coeffs, _by_degree(other, cap), cap))
 
     @staticmethod
     def _of(cap, coeffs):
@@ -173,12 +165,22 @@ def magnus(w, cap):
     return _magnus_cached(w, cap)
 
 
+def _by_degree(s, cap):
+    """y with y[d] listing the (monomial, coefficient) pairs of the series
+    s in degree d, for d = 0..cap."""
+    y = [[] for _ in range(cap + 1)]
+    for m, c in s.coeffs.items():
+        if len(m) <= cap:
+            y[len(m)].append((m, c))
+    return y
+
+
 def _times(p, y, cap):
-    """p * y through degree cap; y[d] lists the (monomial, coefficient)
-    pairs of y in degree d >= 1, and y has no constant term."""
+    """p * y through degree cap, for a coefficient dict p and a series y
+    listed by `_by_degree`."""
     out = {}
     for m1, c1 in p.items():
-        for d in range(1, cap - len(m1) + 1):
+        for d in range(cap - len(m1) + 1):
             for m2, c2 in y[d]:
                 m = m1 + m2
                 out[m] = out.get(m, 0) + c1 * c2
@@ -219,13 +221,8 @@ class NilpotentAction:
         cap = self.cap
         if inner.cap != cap:
             raise ValueError("actions at caps %d and %d" % (cap, inner.cap))
-        ys = []
-        for s in self.images:
-            y = [[] for _ in range(cap + 1)]
-            for m, c in s.coeffs.items():
-                if m:
-                    y[len(m)].append((m, c))
-            ys.append(y)
+        # X_i reads A_i - 1: the constant term is dropped
+        ys = [[[]] + _by_degree(s, cap)[1:] for s in self.images]
         prods = {(): {(): 1}}
         images = []
         for s in inner.images:
@@ -248,16 +245,7 @@ class NilpotentAction:
 
     def defect(self, i):
         """The series of phi(x_i) x_i^-1, that is A_i (1 - X_i + X_i^2 - ...)."""
-        out = {}
-        for m, c in self.images[i].coeffs.items():
-            for d in range(self.cap - len(m) + 1):
-                mm = m + (i,) * d
-                v = out.get(mm, 0) + (-c if d & 1 else c)
-                if v:
-                    out[mm] = v
-                else:
-                    del out[mm]
-        return MagnusSeries._of(self.cap, out)
+        return self.images[i] * MagnusSeries.letter(i, self.cap, -1)
 
     def __eq__(self, other):
         return (isinstance(other, NilpotentAction) and self.cap == other.cap
@@ -265,20 +253,6 @@ class NilpotentAction:
 
     def __repr__(self):
         return "NilpotentAction(cap=%d, %r)" % (self.cap, list(self.images))
-
-
-def weight_of(w, cap):
-    """Least k <= cap with a nonzero degree-k term, or None when there is none.
-
-    This equals the lower-central depth of the word since the Magnus
-    filtration of a free group agrees with its lower central series.
-    """
-    for m in range(1, cap + 1):
-        s = magnus(w, m)
-        d = s.min_positive_degree()
-        if d is not None:
-            return d
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -315,19 +289,72 @@ def component_to_lie(component, k, n):
     return LieElement._of(k, terms)
 
 
-def leading_class(w, k):
-    """(low, None) when w's expansion has a nonzero term in some degree
-    below k, low the least of them; otherwise (None, the class of w in the
-    weight-k layer of the free Lie ring).
+def walk(series, n, ideal=None):
+    """Yield None at each cap 1, 2, ... while an element's class vanishes,
+    then (weight, class) once; series(c) is its series exact through c.
 
-    One cap-k expansion gives both, since it is exact in every degree below
-    the cap.
+    The least positive degree k is the free weight and the degree-k part,
+    over n letters, the class.  Modulo an ideal, a nonzero normal form is
+    the class; a zero one is undone by the inverses of the ideal's lift
+    words, whose series multiply the element's at every later cap.
     """
-    s = magnus(w, k)
+    fixes = []  # words whose series multiply the element's, in order
+    low = 1     # every degree below low vanishes
+    for c in count(1):
+        s = series(c)
+        for u in fixes:
+            s = s * magnus(u, c)
+        k = s.min_positive_degree()
+        if k is None:
+            yield None
+            continue
+        if k < low:
+            raise InternalFault("correction did not deepen the word",
+                                weight=low - 1)
+        e = component_to_lie(s.degree_component(k), k, n)
+        if ideal is None:
+            yield k, e
+            return
+        q = ideal.reduce(e)
+        if q.torsion:
+            raise UnexpectedTorsionError(
+                "torsion %r in the quotient at weight %d" % (q.torsion, k),
+                weight=k)
+        if not q.is_zero():
+            yield k, q
+            return
+        combo = ideal.solve_in_span(e)
+        if combo is None:
+            raise InternalFault(
+                "normal form vanished but no integer combination found",
+                weight=k)
+        fixes.extend(lift ** (-coeff) for coeff, lift in combo)
+        low = k + 1
+        yield None
+
+
+def weight_of(w, cap):
+    """Least k <= cap with a nonzero degree-k term, or None when there is none.
+
+    This equals the lower-central depth of the word since the Magnus
+    filtration of a free group agrees with its lower central series.
+    """
+    got = next(filter(None, islice(
+        walk(partial(magnus, w), len(w.alphabet)), cap)), None)
+    return None if got is None else got[0]
+
+
+def leading_class(s, k, n):
+    """(low, None) when the series s has a nonzero term in some degree below
+    k, low the least of them; otherwise (None, its degree-k part as a class
+    in the weight-k layer of the free Lie ring on n letters).
+
+    s must be exact through degree k; one cap-k series gives both.
+    """
     low = s.min_positive_degree()
     if low is not None and low < k:
         return low, None
-    return None, component_to_lie(s.degree_component(k), k, len(w.alphabet))
+    return None, component_to_lie(s.degree_component(k), k, n)
 
 
 def lie_class_at(w, k):
@@ -337,7 +364,7 @@ def lie_class_at(w, k):
     must have no nonzero terms in degrees 1..k-1.  Returns the zero element
     when the word lies deeper than k.
     """
-    low, e = leading_class(w, k)
+    low, e = leading_class(magnus(w, k), k, len(w.alphabet))
     if low is not None:
         raise PreconditionError(
             "word has a nonzero degree-%d term, so it is not in F_%d" % (low, k),
@@ -348,23 +375,14 @@ def lie_class_at(w, k):
 def induced_lie_map(phi, e, cap):
     """Image of a homogeneous class under the graded map induced by phi.
 
-    The class's associative expansion is a homogeneous polynomial of degree
-    i = weight, so the degree-i part of its image under X_j -> M(phi(x_j)) - 1
-    reads only the degree-1 parts of the series, phi's action on homology:
-    one substitution of those at cap i gives the image, which is zero when
+    On the weight-i layer the map reads only phi's action on homology: each
+    generator goes to the exponent sums of its image word, and the class is
+    substituted multiplicatively (`lie.substitute`).  Its image is zero when
     every image sits deeper.
     """
-    i = e.weight
-    if i > cap:
-        raise PreconditionError("weight %d exceeds cap %d" % (i, cap))
-    if e.is_zero():
-        return e
-    expansion = {}
-    for t, c in e.terms.items():
-        for m, v in expand_associative(t).items():
-            expansion[m] = expansion.get(m, 0) + c * v
-    linear = [MagnusSeries._of(i, s.coeffs)
-              for s in NilpotentAction.of_words(phi.images, 1).images]
-    image, = NilpotentAction(i, linear).after(
-        NilpotentAction(i, [MagnusSeries(i, expansion)])).images
-    return component_to_lie(image.coeffs, i, len(phi.alphabet))
+    if e.weight > cap:
+        raise PreconditionError("weight %d exceeds cap %d" % (e.weight, cap))
+    images = [LieElement(1, [(HallTree.make_leaf(j), c)
+                             for j, c in enumerate(w.exponent_sums())])
+              for w in phi.images]
+    return substitute(e, images)

@@ -6,7 +6,7 @@ kernel-side letters.  The induced map kills exactly the positive grades, so
 the obstruction vanishes iff the grade-0 component of the Johnson value does.
 """
 
-from .errors import PreconditionError
+from .errors import DimensionMismatchError, PreconditionError
 from .hall import HallTree
 from .intlinalg import mat_mul
 from .johnson import TauValue, tau
@@ -59,6 +59,10 @@ def grade_decompose(value, lagrangian):
         raise PreconditionError("grade decomposition expects a surface-reduced value")
     model = value.model
     g = model.genus
+    if lagrangian.genus != g:
+        raise DimensionMismatchError(
+            "Lagrangian of genus %d for a value of genus %d"
+            % (lagrangian.genus, g))
     s = adapt_symplectic_basis(lagrangian)
     sinv = _symplectic_inverse(s, g)
     images = []

@@ -44,13 +44,22 @@ def parse_int(v):
     raise PreconditionError("expected an integer, got %r" % (v,))
 
 
+def _iterable(v, what):
+    """v, refused if it is a JSON null, boolean or number."""
+    if v is None or isinstance(v, (int, float)):
+        raise PreconditionError("%s must be an array, got %r" % (what, v))
+    return v
+
+
 def parse_word(alphabet, obj):
     """Accept the compact string form or the [[name, exponent], ...] array."""
     from .words import word_from_pairs, word_from_str
     if isinstance(obj, str):
         return word_from_str(alphabet, obj)
     if isinstance(obj, list):
-        return word_from_pairs(alphabet, [(n, parse_int(e)) for n, e in obj])
+        return word_from_pairs(alphabet, [
+            (n, parse_int(e))
+            for n, e in (_iterable(p, "a word pair") for p in obj)])
     raise PreconditionError("cannot parse a word from %r" % (obj,))
 
 
@@ -77,7 +86,8 @@ def parse_lagrangian(obj):
     if not isinstance(obj, dict) or "genus" not in obj or "span" not in obj:
         raise PreconditionError('Lagrangian JSON needs "genus" and "span"')
     genus = parse_int(obj["genus"])
-    span = [[parse_int(v) for v in row] for row in obj["span"]]
+    span = [[parse_int(v) for v in _iterable(row, "a span row")]
+            for row in _iterable(obj["span"], '"span"')]
     return Lagrangian(genus, span)
 
 

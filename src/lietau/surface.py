@@ -7,20 +7,21 @@ modulo the ideal generated by the symplectic class; filling the standard
 handlebody kills the a-generators instead, leaving the free Lie ring on the
 b-letters.
 
-`surface_class` walks an element's Magnus series cap by cap: a word's
-expansion, or a mapping-class defect read from the class's truncated
-action, and applies its corrections as products with the series of the
-ideal's lift words.
+`surface_class` and `handlebody_class` take the first class that
+`magnus.walk` finds, cap by cap: modulo the symplectic ideal, correcting
+the element by the series of the ideal's lift words, for a word's
+expansion or a mapping-class defect read from the class's truncated
+action; and freely, for a word with its a-letters dropped.
 """
 
 import threading
 from functools import partial
+from itertools import islice
 
-from .errors import InternalFault, UnexpectedTorsionError
 from .hall import HallTree
 from .ideals import GradedIdeal
 from .lie import LieElement, bracket
-from .magnus import component_to_lie, lie_class_at, magnus, weight_of
+from .magnus import magnus, walk
 from .words import Alphabet, Word, commutator, surface_alphabet
 
 
@@ -103,16 +104,8 @@ def surface_class(model, w, cap):
     w is a Word over the surface alphabet, or a series source: a function
     giving, for a cap, the element's Magnus series exact through that cap
     (a mapping class's defect reads its action this way).  A Word is read
-    through `magnus`.
-
-    Walks up the weights, one cap at a time: the least positive degree of
-    the series is the free weight k, and its degree-k part the free leading
-    term, which is reduced modulo the symplectic ideal; a nonzero normal
-    form is the answer.  Otherwise the leading term is expressed as an
-    integer combination of spanning vectors and the element is multiplied
-    by the inverses of their group-word lifts, as series at each cap from
-    then on, pushing it one weight deeper, and the walk continues up to the
-    cap.
+    through `magnus`.  The class is the first one `walk` finds modulo the
+    symplectic ideal within caps 1..cap.
 
     Returns (weight, QuotientClass) or None for trivial-up-to-cap.
     """
@@ -122,49 +115,19 @@ def surface_class(model, w, cap):
         series = partial(magnus, w)
     else:
         series = w
-    ideal = model.symplectic_ideal()
-    n = len(model.alphabet)
-    fixes = []  # words whose series multiply the element's, in order
-    low = 1     # every degree below low vanishes
-    for c in range(1, cap + 1):
-        s = series(c)
-        for u in fixes:
-            s = s * magnus(u, c)
-        k = s.min_positive_degree()
-        if k is None:
-            continue
-        if k < low:
-            raise InternalFault("correction did not deepen the word",
-                                weight=low - 1)
-        e = component_to_lie(s.degree_component(k), k, n)
-        q = ideal.reduce(e)
-        if q.torsion:
-            raise UnexpectedTorsionError(
-                "torsion %r in the symplectic quotient at weight %d"
-                % (q.torsion, k), weight=k)
-        if not q.is_zero():
-            return k, q
-        combo = ideal.solve_in_span(e)
-        if combo is None:
-            raise InternalFault(
-                "normal form vanished but no integer combination found",
-                weight=k)
-        fixes.extend(lift ** (-coeff) for coeff, lift in combo)
-        low = k + 1
-    return None
+    steps = walk(series, len(model.alphabet), model.symplectic_ideal())
+    return next(filter(None, islice(steps, cap)), None)
 
 
 def handlebody_class(model, w, cap):
     """Leading class after filling the standard handlebody (a_i bound disks).
 
-    Substitutes a_i -> 1 and takes the free leading term over the b-letters.
+    Substitutes a_i -> 1 and takes the free leading term over the b-letters,
+    the first class `walk` finds within caps 1..cap.
     Returns (weight, LieElement over the b alphabet) or None.
     """
-    wb = model.drop_a(w)
-    k = weight_of(wb, cap)
-    if k is None:
-        return None
-    return k, lie_class_at(wb, k)
+    steps = walk(partial(magnus, model.drop_a(w)), model.genus)
+    return next(filter(None, islice(steps, cap)), None)
 
 
 def b_only_part(model, e):

@@ -255,6 +255,20 @@ def test_domain_error_exit_code(capsys):
     ["hall", "--k", "2", "--alphabet", "x,y z"],
     ["hall", "--k", "2", "--alphabet", "x,y[1]"],
     ["hall", "--k", "2", "--alphabet", "x,y^2"],
+    # a Lagrangian of another genus than the map's
+    ["obstruct", "--k", "2", "--map", '{"genus":3,"images":{}}',
+     "--lagrangian", '{"genus":2,"span":[[1,0,0,0],[0,1,0,0]]}'],
+    ["obstruct", "--k", "2", "--map", '{"genus":2,"images":{}}',
+     "--lagrangian", '{"genus":3,"span":[[1,0,0,0,0,0],[0,1,0,0,0,0],'
+                     '[0,0,1,0,0,0]]}'],
+    ["scan", "--k", "2", "--map", '{"genus":3,"images":{}}', "--height", "0",
+     "--lagrangians", '[{"genus":2,"span":[[1,0,0,0],[0,1,0,0]]}]'],
+    # JSON shapes that cannot be iterated where arrays are expected
+    ["obstruct", "--k", "2", "--map", '{"genus":2,"images":{}}',
+     "--lagrangian", '{"genus":2,"span":5}'],
+    ["obstruct", "--k", "2", "--map", '{"genus":2,"images":{}}',
+     "--lagrangian", '{"genus":2,"span":[5]}'],
+    ["depth", "--map", '{"genus":2,"images":{"a1":[5]}}'],
 ])
 def test_bad_input_is_one_json_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -316,9 +316,8 @@ def test_smith_divisors_against_minor_gcds():
     assert all(seen.values()), seen
 
 
-def test_xgcd_is_called_only_in_lattice_insertion():
-    """Every elimination goes through `IntLattice.add`: no other function
-    in the package calls xgcd."""
+def _package_calls(name):
+    """(module, qualified function) of every call of `name` in the package."""
     calls = set()
 
     def walk(node, scope):
@@ -329,8 +328,9 @@ def test_xgcd_is_called_only_in_lattice_insertion():
                 continue
             if isinstance(child, ast.Call):
                 f = child.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name == "xgcd":
+                called = (f.id if isinstance(f, ast.Name)
+                          else getattr(f, "attr", None))
+                if called == name:
                     calls.add((scope[0], ".".join(scope[1:])))
             walk(child, scope)
 
@@ -338,7 +338,21 @@ def test_xgcd_is_called_only_in_lattice_insertion():
     assert len(paths) > 10
     for path in paths:
         walk(ast.parse(path.read_text(), str(path)), (path.stem,))
-    assert calls == {("intlinalg", "IntLattice.add")}
+    return calls
+
+
+def test_xgcd_is_called_only_in_lattice_insertion():
+    """Every elimination goes through `IntLattice.add`: no other function
+    in the package calls xgcd."""
+    assert _package_calls("xgcd") == {("intlinalg", "IntLattice.add")}
+
+
+def test_min_positive_degree_is_called_only_in_magnus():
+    """Every cap-by-cap walk goes through `magnus.walk`, and every "lower
+    degree, or the class at k" question through `magnus.leading_class`: no
+    other function in the package reads a series' least degree."""
+    assert _package_calls("min_positive_degree") == {
+        ("magnus", "walk"), ("magnus", "leading_class")}
 
 
 def test_hermite_rows_canonical():

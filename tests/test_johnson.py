@@ -14,7 +14,7 @@ from lietau.johnson import (HomValue, MappingClassData, TauValue,
                             tau, tau1)
 from lietau.lie import LieElement, bracket
 from lietau.magnus import lie_class_at
-from lietau.words import GroupEndomorphism, Word, commutator
+from lietau.words import GroupEndomorphism, Word, commutator, word_from_str
 
 
 def test_mapping_class_requires_fixed_relator(model_of):
@@ -259,12 +259,28 @@ def test_tau1_compatible_with_tau(model_of, g3_braids):
 def test_jprime_at_least_johnson(model_of, g3_braids):
     m = model_of(3)
     t = boundary_twist(m)
-    c = g3_braids["c"]
-    for f in (t, c.fwd):
+    maps = [t] + [g3_braids[name].fwd for name in ("b12", "b23", "c", "d")]
+    maps += [g3_braids[name].bwd for name in ("b12", "b23")]
+    for f in maps:
         jd = johnson_depth(f, 4)
         jp = jprime_depth(f, 4)
         if jp is not None:
             assert jd is not None and jp >= jd
+
+
+def test_elementary_push_depths_with_a_trivial_defect(model_of, g3_braids):
+    # A23 fixes a1, so its first defect is trivial at every cap; the depths
+    # come from the other defects, and johnson_depth reads no cap above 1
+    m = model_of(3)
+    ab = m.alphabet
+    a23 = braid_automorphism(m, [Word(ab), word_from_str(ab, "b3^-1"),
+                                 word_from_str(ab, "b2^-1 b3^-1")])
+    assert a23 == g3_braids["b23"].fwd
+    assert a23.defect(0) == Word(ab)
+    assert johnson_depth(a23, 6) == 1
+    assert sorted(a23._source._cache) == [1]
+    assert a23.action(6).defect(0).is_one()
+    assert jprime_depth(a23, 6) == 1
 
 
 def test_defect_classes_vanish_on_commutators(model_of, g3_braids):

@@ -54,6 +54,31 @@ def test_weight_of_examples():
     assert weight_of(commutator(m3.relator, m3.b(3)), 6) == 3
 
 
+def random_deep_word(rng, ab, depth):
+    """A random word, bracketed depth - 1 times with further random words,
+    so its weight is at least depth; short words keep the caps cheap."""
+    def short():
+        return Word(ab, [rng.choice([1, -1]) * rng.randint(1, len(ab))
+                         for _ in range(rng.randint(0, 3))])
+    w = short()
+    for _ in range(depth - 1):
+        w = commutator(w, short())
+    return w
+
+
+def test_weight_of_reads_what_one_top_cap_expansion_reads():
+    ab = Alphabet(["x", "y", "z"])
+    rng = random.Random(41)
+    weights = set()
+    for _ in range(120):
+        w = random_deep_word(rng, ab, rng.randint(1, 3))
+        cap = rng.randint(1, 5)
+        got = weight_of(w, cap)
+        assert got == magnus(w, cap).min_positive_degree()
+        weights.add(got)
+    assert {None, 1, 2, 3} <= weights
+
+
 def test_weight_of_commutator_depth():
     c = commutator(X, Y)
     assert weight_of(c, 6) == 2

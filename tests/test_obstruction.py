@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from lietau.errors import DimensionMismatchError
 from lietau.johnson import (TauValue, boundary_twist, identity_mapping_class,
                             tau)
 from lietau.lie import LieElement, bracket, substitute, x_count_split
@@ -170,3 +173,17 @@ def test_user_supplied_lagrangian_included(model_of):
     rep = robustness_scan(identity_mapping_class(m), 2,
                           lagrangians=[extra], height=0)
     assert any(lag == extra for lag, _ in rep.results)
+
+
+def test_lagrangian_of_another_genus_is_refused(model_of):
+    # a smaller genus used to fail inside the basis change, and a larger one
+    # to decide the obstruction against the wrong surface
+    f = boundary_twist(model_of(2))
+    value = tau(f, 2)
+    for lag in (Lagrangian.standard(1), Lagrangian.coordinate(3, [1])):
+        with pytest.raises(DimensionMismatchError):
+            grade_decompose(value, lag)
+        with pytest.raises(DimensionMismatchError):
+            obstruction_vanishes(f, 2, lag)
+        with pytest.raises(DimensionMismatchError):
+            robustness_scan(f, 2, lagrangians=[lag], height=0)

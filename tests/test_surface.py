@@ -4,7 +4,7 @@ import pytest
 
 from lietau.errors import UnknownGeneratorError
 from lietau.lie import LieElement
-from lietau.magnus import lie_class_at
+from lietau.magnus import lie_class_at, magnus
 from lietau.surface import b_only_part, handlebody_class, surface_class
 from lietau.words import Word, commutator, word_from_str
 
@@ -68,6 +68,25 @@ def test_handlebody_class_examples(model_of):
     got = handlebody_class(m, commutator(m.b(2), m.b(1)), 6)
     assert got is not None
     assert got[0] == 2
+
+
+def test_handlebody_class_is_the_class_of_the_dropped_word(model_of):
+    m = model_of(2)
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(60):
+        w = Word(m.alphabet, [rng.choice([1, -1]) * rng.randint(1, 4)
+                              for _ in range(rng.randint(0, 4))])
+        for _ in range(rng.randint(0, 2)):
+            w = commutator(w, Word(m.alphabet, [rng.choice([1, -1])
+                                                * rng.randint(1, 4)]))
+        cap = rng.randint(1, 4)
+        wb = m.drop_a(w)
+        k = magnus(wb, cap).min_positive_degree()
+        expect = None if k is None else (k, lie_class_at(wb, k))
+        assert handlebody_class(m, w, cap) == expect
+        seen.add(k)
+    assert {None, 1, 2} <= seen
 
 
 def test_b_word_weights_agree(model_of):
