@@ -3,20 +3,22 @@
 A mapping class is given by its action on the free fundamental group of
 the once-punctured surface, as generator image words; fixing the boundary
 pointwise means fixing the relator r0 on the nose, which is checked on the
-words at construction.  Words serve only there, at I/O and at the leaves
-of a composite: every depth and Johnson value is read from the truncated
-Magnus action X_i -> M(phi(x_i)) at the cap it needs (Morita, Duke Math.
-J. 70, 1993; Kitano, Topology Appl. 69, 1996).  Depth in the filtration is
-the least positive degree of a generator defect series
+given words at construction.  Every depth and Johnson value is read from
+the truncated Magnus action X_i -> M(phi(x_i)) at the cap it needs (Morita,
+Duke Math. J. 70, 1993; Kitano, Topology Appl. 69, 1996).  Depth in the
+filtration is the least positive degree of a generator defect series
 D_i = M(phi(x_i)) M(x_i)^-1, walked up the caps together (`magnus.walk`);
 tau_k is eta^-1 after the defect-class homomorphism sigma, which reads
 the degree-k classes of the D_i (`magnus.leading_class`).
 
-A class built by `compose` keeps the action sources of its factors, and
-its action at a cap is theirs composed by series substitution, whenever
-its own image words hold more letters than the factors' sources would
-expand; otherwise it expands its own words.  So a long composite of short
-factors never has its images expanded letter by letter.
+A class built by `compose` holds its two factors and nothing else.  It
+needs no relator check, since phi(r0) = r0 and psi(r0) = r0 give
+phi(psi(r0)) = r0.  Its action at a cap is its factors' actions composed by
+series substitution, and its image words are its factors' words composed,
+built only when `endo` is read: by equality, hashing and repr, `defect`,
+`push_tuple_of` and `serialize.mapping_class_json`.  So no depth or
+Johnson value of a long composite of short factors expands or even forms
+its image words.
 """
 
 import threading
@@ -32,78 +34,14 @@ from .words import GroupEndomorphism, Word
 DEFAULT_CAP = 8
 
 
-class _ActionSource:
-    """What a mapping class's truncated Magnus action is computed from:
-    its generator images (a leaf), or the sources of the two factors it
-    was composed of (outer after inner).
-
-    `letters` counts the image letters the leaves below expand.  The
-    actions are cached per cap; evaluation walks the sources with an
-    explicit stack, so a chain of any depth evaluates, and keeps only the
-    asked source's action and the leaves'.
-    """
-
-    __slots__ = ("images", "outer", "inner", "letters", "_cache", "_lock")
-
-    def __init__(self, images=None, outer=None, inner=None):
-        self.images = images
-        self.outer = outer
-        self.inner = inner
-        self.letters = (sum(map(len, images)) if images is not None
-                        else outer.letters + inner.letters)
-        self._cache = {}
-        self._lock = threading.Lock()
-
-    def _cached(self, cap):
-        with self._lock:
-            return self._cache.get(cap)
-
-    def _store(self, cap, action):
-        with self._lock:
-            return self._cache.setdefault(cap, action)
-
-    def action(self, cap):
-        got = self._cached(cap)
-        if got is not None:
-            return got
-        # the sources to evaluate, children before parents, and how many
-        # of them read each one
-        order, readers, values = [], {}, {}
-        stack, seen = [(self, False)], set()
-        while stack:
-            s, expanded = stack.pop()
-            if expanded:
-                order.append(s)
-                continue
-            if id(s) in seen:
-                continue
-            seen.add(id(s))
-            stack.append((s, True))
-            if s.images is None:
-                for child in (s.inner, s.outer):
-                    readers[id(child)] = readers.get(id(child), 0) + 1
-                    if id(child) not in seen:
-                        got = child._cached(cap)
-                        if got is None:
-                            stack.append((child, False))
-                        else:
-                            seen.add(id(child))
-                            values[id(child)] = got
-        for s in order:
-            if s.images is not None:
-                act = s._store(cap, NilpotentAction.of_words(s.images, cap))
-            else:
-                act = values[id(s.outer)].after(values[id(s.inner)])
-                for child in (s.outer, s.inner):
-                    readers[id(child)] -= 1
-                    if not readers[id(child)]:
-                        del values[id(child)]
-            values[id(s)] = act
-        return self._store(cap, values[id(self)])
-
-
 class MappingClassData:
-    """A boundary-fixing mapping class, given by generator images."""
+    """A boundary-fixing mapping class: given by generator images, or the
+    composite of two classes, `outer` after `inner` (both None when the
+    images are given).
+
+    The image words (key None) and the action at each cap are cached on
+    every class of a composition tree, under its own lock.
+    """
 
     def __init__(self, model, endo):
         if endo.alphabet != model.alphabet:
@@ -116,9 +54,41 @@ class MappingClassData:
         if endo.apply(model.relator) != model.relator:
             raise RelationViolatedError(
                 "generator images do not fix the boundary relator")
-        self.model = model
-        self.endo = endo
-        self._source = _ActionSource(endo.images)
+        self.model, self.outer, self.inner = model, None, None
+        self._cache, self._lock = {None: endo}, threading.Lock()
+
+    def _get(self, key):
+        with self._lock:
+            return self._cache.get(key)
+
+    def _put(self, key, value):
+        with self._lock:
+            self._cache.setdefault(key, value)
+
+    def _value(self, key, leaf, combine):
+        """The value under key: leaf(endo) at a class given by images,
+        combine(outer's, inner's) at a composite.  Evaluated with an
+        explicit stack, so a chain of any depth evaluates, and cached on
+        every class it passes."""
+        stack = [self]
+        while stack:
+            f = stack[-1]
+            if f._get(key) is not None:
+                stack.pop()
+            elif f.outer is None:
+                f._put(key, leaf(f._get(None)))
+            else:
+                todo = [c for c in (f.inner, f.outer) if c._get(key) is None]
+                if todo:
+                    stack += todo
+                else:
+                    f._put(key, combine(f.outer._get(key), f.inner._get(key)))
+        return self._get(key)
+
+    @property
+    def endo(self):
+        """The generator images, as a GroupEndomorphism."""
+        return self._value(None, None, GroupEndomorphism.compose)
 
     def __eq__(self, other):
         return (isinstance(other, MappingClassData)
@@ -133,7 +103,9 @@ class MappingClassData:
         cached per cap."""
         if cap < 1:
             raise PreconditionError("cap must be >= 1")
-        return self._source.action(cap)
+        return self._value(
+            cap, lambda endo: NilpotentAction.of_words(endo.images, cap),
+            NilpotentAction.after)
 
     def defect(self, index):
         """phi(x) x^-1 for the 0-based generator index."""
@@ -144,10 +116,9 @@ class MappingClassData:
         """self after other, as mapping classes."""
         if self.model.genus != other.model.genus:
             raise PreconditionError("genus mismatch in composition")
-        out = MappingClassData(self.model, self.endo.compose(other.endo))
-        outer, inner = self._source, other._source
-        if out._source.letters > outer.letters + inner.letters:
-            out._source = _ActionSource(outer=outer, inner=inner)
+        out = MappingClassData.__new__(MappingClassData)
+        out.model, out.outer, out.inner = self.model, self, other
+        out._cache, out._lock = {}, threading.Lock()
         return out
 
     def __repr__(self):

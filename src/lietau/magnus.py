@@ -26,8 +26,9 @@ one cap.  The action of a composite is one factor's series substituted into
 the other's (X_i -> A_i - 1), and a generator defect's series is the
 product A_i M(x_i)^-1, so depths and Johnson values of a long composite
 come from its short factors.  Words are expanded only at the leaves of a
-composite, for I/O and for words given directly; the boundary relator is
-checked on words.
+composite, the classes given by image words, on which the boundary
+relator is checked; a composite holds its factors and builds its own words
+only when its `endo` is read (`johnson.MappingClassData`).
 
 Every truncated product is `_times`, every cap-by-cap search for a weight
 or class is `walk`, and every series read at a known weight
@@ -95,24 +96,6 @@ class MagnusSeries:
         object.__setattr__(s, "cap", cap)
         object.__setattr__(s, "coeffs", coeffs)
         return s
-
-    def inverse(self):
-        c0 = self.coeffs.get((), 0)
-        if c0 not in (1, -1):
-            raise ValueError("series with constant term %r has no inverse" % c0)
-        n = MagnusSeries(self.cap,
-                         {m: c0 * c for m, c in self.coeffs.items() if m != ()})
-        # (1 + N)^-1 = 1 - N + N^2 - ... computed by X <- 1 - N X.
-        one = MagnusSeries.one(self.cap)
-        x = one
-        for _ in range(self.cap):
-            nx = n * x
-            x = MagnusSeries(self.cap,
-                             {m: (1 if m == () else 0) - nx.coeffs.get(m, 0)
-                              for m in set(nx.coeffs) | {()}})
-        if c0 == -1:
-            x = MagnusSeries(self.cap, {m: -c for m, c in x.coeffs.items()})
-        return x
 
     def degree_component(self, d):
         return {m: c for m, c in self.coeffs.items() if len(m) == d}

@@ -45,8 +45,8 @@ def parse_int(v):
 
 
 def _iterable(v, what):
-    """v, refused if it is a JSON null, boolean or number."""
-    if v is None or isinstance(v, (int, float)):
+    """v, refused unless it is a JSON array."""
+    if not isinstance(v, list):
         raise PreconditionError("%s must be an array, got %r" % (what, v))
     return v
 

@@ -70,7 +70,7 @@ def _assert_routes_agree(f, k, cap=4):
         assert f.action(c).images == tuple(magnus(img, c)
                                            for img in f.endo.images)
     plain = MappingClassData(f.model, f.endo)
-    assert plain._source.images is not None  # the word route
+    assert plain.outer is None  # the word route
     assert johnson_depth(f, cap) == johnson_depth(plain, cap)
     assert jprime_depth(f, cap) == jprime_depth(plain, cap)
     assert tau(f, k) == tau(plain, k)
@@ -78,11 +78,11 @@ def _assert_routes_agree(f, k, cap=4):
 
 
 def _composite_depth(f):
-    """The most composite sources on one path down from f's source."""
-    best, stack = 0, [(f._source, 0)]
+    """The most composites on one path down from f."""
+    best, stack = 0, [(f, 0)]
     while stack:
         s, d = stack.pop()
-        if s.images is None:
+        if s.outer is not None:
             stack += [(s.outer, d + 1), (s.inner, d + 1)]
         best = max(best, d)
     return best
@@ -161,6 +161,34 @@ def test_boundary_twist_chain_deeper_than_the_recursion_limit(model_of):
     _assert_routes_agree(f, 1)
 
 
+def test_composing_builds_no_words(model_of, g3_braids, monkeypatch):
+    m = model_of(3)
+    d = g3_braids["d"].fwd
+    calls = {"compose": 0, "apply": 0}
+
+    def counted(name):
+        real = getattr(GroupEndomorphism, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    with monkeypatch.context() as patch:
+        for name in calls:
+            patch.setattr(GroupEndomorphism, name, counted(name))
+        dd = d.compose(d)
+        assert johnson_depth(dd, 6) == 3
+        assert jprime_depth(dd, 5) == 3
+        t3 = tau(d, 3)
+        assert not t3.is_zero() and tau(dd, 3) == t3 + t3
+    assert calls == {"compose": 0, "apply": 0}
+    # the words, built on first read, are the word route's composite, and
+    # they fix the boundary relator though compose never checked it
+    assert dd.endo == d.endo.compose(d.endo)
+    assert dd.endo.apply(m.relator) == m.relator
+
+
 def test_first_shallow_generator_is_named(model_of):
     # the handle-1 twist leaves a1 three deep and the twist about a2 moves
     # b2 on homology: a1 comes first in alphabet order, so it is named,
@@ -202,6 +230,7 @@ def test_action_cache_is_shared_between_threads(g3_braids):
 
     def ask():
         got.extend((c, f.action(c)) for c in caps)
+        got.append((None, f.endo))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -214,8 +243,8 @@ def test_action_cache_is_shared_between_threads(g3_braids):
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert len(got) == 8 * len(caps)
-    # every thread reads the one cached action per cap
-    for c, act in got:
-        assert act is f.action(c)
+    assert len(got) == 8 * (len(caps) + 1)
+    # every thread reads the one cached action per cap and the one word map
+    for c, value in got:
+        assert value is (f.endo if c is None else f.action(c))
     assert f.action(3).images == tuple(magnus(img, 3) for img in f.endo.images)

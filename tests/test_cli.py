@@ -269,6 +269,12 @@ def test_domain_error_exit_code(capsys):
     ["obstruct", "--k", "2", "--map", '{"genus":2,"images":{}}',
      "--lagrangian", '{"genus":2,"span":[5]}'],
     ["depth", "--map", '{"genus":2,"images":{"a1":[5]}}'],
+    # strings and objects where arrays are expected
+    ["obstruct", "--k", "2", "--map", '{"genus":1,"images":{}}',
+     "--lagrangian", '{"genus":1,"span":["10"]}'],
+    ["obstruct", "--k", "2", "--map", '{"genus":1,"images":{}}',
+     "--lagrangian", '{"genus":1,"span":{"01":7}}'],
+    ["depth", "--map", '{"genus":2,"images":{"a1":["b1"]}}'],
 ])
 def test_bad_input_is_one_json_error(capsys, argv):
     code, out, err = run(capsys, *argv)

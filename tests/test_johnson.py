@@ -278,7 +278,7 @@ def test_elementary_push_depths_with_a_trivial_defect(model_of, g3_braids):
     assert a23 == g3_braids["b23"].fwd
     assert a23.defect(0) == Word(ab)
     assert johnson_depth(a23, 6) == 1
-    assert sorted(a23._source._cache) == [1]
+    assert [c for c in a23._cache if c is not None] == [1]
     assert a23.action(6).defect(0).is_one()
     assert jprime_depth(a23, 6) == 1
 

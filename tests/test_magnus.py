@@ -24,8 +24,8 @@ def test_empty_word_is_one():
 def test_inverse_cancels_exactly():
     for cap in (1, 2, 5, 8):
         assert magnus(X * ~X, cap).is_one()
-        s = magnus(X * Y * ~X, cap)
-        assert (s * s.inverse()).is_one()
+        w = X * Y * ~X
+        assert (magnus(w, cap) * magnus(~w, cap)).is_one()
 
 
 def test_commutator_series_frozen():
