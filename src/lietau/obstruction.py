@@ -1,26 +1,45 @@
 """The handlebody obstruction through the Lagrangian-adapted grading.
 
 For a handlebody whose homology kernel is a Lagrangian L, pick a symplectic
-basis adapted to L and grade everything by the number of occurrences of the
-kernel-side letters.  The induced map kills exactly the positive grades, so
-the obstruction vanishes iff the grade-0 component of the Johnson value does.
+basis x_1..x_g, y_1..y_g adapted to L and grade everything by the number of
+occurrences of the kernel-side letters x_i.  The induced map kills exactly
+the positive grades, so the obstruction vanishes iff the grade-0 component
+of the Johnson value does.
+
+Grade 0 needs neither the adapted basis nor a reduction.  Row g+i of S^-1 is
+omega(x_i, .), so the y-side coordinates of a vector v are its image
+pi(v) = sum_i omega(x_i, v) b_i in H/L.  The x-free part of a substitution
+is the substitution by the images' y-parts alone.  And the symplectic class
+is sum_i [x_i, y_i] in any adapted basis, so every term of every element of
+its ideal has an x-letter: reducing modulo the ideal moves positive grades
+only.  `_handlebody_image` therefore applies pi to every tensor index and
+every leaf of the reduced value and stops there; `grade_decompose` keeps the
+full split, which the CLI prints.
 """
 
 from .errors import DimensionMismatchError, PreconditionError
 from .hall import HallTree
-from .intlinalg import mat_mul
 from .johnson import TauValue, tau
 from .lie import LieElement, substitute, x_count_split
-from .symplectic import Lagrangian, adapt_symplectic_basis, gram_matrix
+from .symplectic import Lagrangian, adapt_symplectic_basis
 
 
 def _symplectic_inverse(s, g):
-    """S^-1 = -J S^T J, exact for integer symplectic S."""
-    n = 2 * g
-    j = gram_matrix(g)
-    st = [[s[r][c] for r in range(n)] for c in range(n)]
-    minus_j = [[-v for v in row] for row in j]
-    return mat_mul(minus_j, mat_mul(st, j))
+    """S^-1 = -J S^T J for integer symplectic S = [[A, B], [C, D]]: the
+    signed block transpose [[D^T, -B^T], [-C^T, A^T]]."""
+    swap = list(range(g, 2 * g)) + list(range(g))
+    sign = [1] * g + [-1] * g
+    return [[sign[r] * sign[c] * s[swap[c]][swap[r]] for c in range(2 * g)]
+            for r in range(2 * g)]
+
+
+def _check_reduced(value, lagrangian):
+    if value.free:
+        raise PreconditionError("grade decomposition expects a surface-reduced value")
+    if lagrangian.genus != value.model.genus:
+        raise DimensionMismatchError(
+            "Lagrangian of genus %d for a value of genus %d"
+            % (lagrangian.genus, value.model.genus))
 
 
 class GradedDecomposition:
@@ -55,14 +74,9 @@ def grade_decompose(value, lagrangian):
     which is basis-invariant, and split by the total count of x-letters in
     the tensor factor plus the Lie part.
     """
-    if value.free:
-        raise PreconditionError("grade decomposition expects a surface-reduced value")
+    _check_reduced(value, lagrangian)
     model = value.model
     g = model.genus
-    if lagrangian.genus != g:
-        raise DimensionMismatchError(
-            "Lagrangian of genus %d for a value of genus %d"
-            % (lagrangian.genus, g))
     s = adapt_symplectic_basis(lagrangian)
     sinv = _symplectic_inverse(s, g)
     images = []
@@ -89,6 +103,31 @@ def grade_decompose(value, lagrangian):
     return GradedDecomposition(model, value.k, lagrangian, s, components, total)
 
 
+def _handlebody_image(value, lagrangian):
+    """The image of a surface-reduced value under pi: H -> H/L, written in the
+    letters b_i = y_i (index g + i); term for term it is
+    `grade_decompose(value, lagrangian).component(0)`."""
+    _check_reduced(value, lagrangian)
+    g = lagrangian.genus
+    # pairs[c][i] = omega(x_i, e_c), the b_i coordinate of pi(e_c)
+    pairs = [[-x[c + g] if c < g else x[c - g] for x in lagrangian.rows]
+             for c in range(2 * g)]
+    leaves = [HallTree.make_leaf(g + i) for i in range(g)]
+    images = [LieElement(1, zip(leaves, row)) for row in pairs]
+    terms = {}
+    for m, e in value.terms.items():
+        if not any(pairs[m]):
+            continue
+        sub = substitute(e, images)
+        if sub.is_zero():
+            continue
+        for i, c in enumerate(pairs[m]):
+            if c:
+                terms[g + i] = (terms[g + i] + sub.scale(c) if g + i in terms
+                                else sub.scale(c))
+    return TauValue(value.model, value.k, False, terms)
+
+
 def obstruction_vanishes(f, k, lagrangian):
     """True iff the image of tau_k(f) dies in the handlebody with kernel L.
 
@@ -100,8 +139,7 @@ def obstruction_vanishes(f, k, lagrangian):
 
 
 def value_obstruction_vanishes(value, lagrangian):
-    gd = grade_decompose(value, lagrangian)
-    return gd.component(0).is_zero()
+    return _handlebody_image(value, lagrangian).is_zero()
 
 
 class ScanReport:

@@ -35,12 +35,17 @@ def omega(u, v):
 
 
 def is_symplectic(m):
-    """True iff M^T J M = J."""
+    """True iff M^T J M = J.
+
+    J M is M with its two row halves swapped and the new lower half negated,
+    so one product remains.
+    """
     n = len(m)
     if n % 2 or any(len(r) != n for r in m):
         return False
-    j = gram_matrix(n // 2)
-    return mat_mul(transpose(m), mat_mul(j, m)) == j
+    g = n // 2
+    jm = list(m[g:]) + [[-v for v in r] for r in m[:g]]
+    return mat_mul(transpose(m), jm) == gram_matrix(g)
 
 
 def eigen_pm1_condition(m):

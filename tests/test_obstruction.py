@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from liegen import random_like
 
-from lietau.errors import DimensionMismatchError
+from lietau.errors import DimensionMismatchError, PreconditionError
+from lietau.intlinalg import identity_matrix, mat_mul
 from lietau.johnson import (TauValue, boundary_twist, identity_mapping_class,
-                            tau)
+                            tau, tau1)
 from lietau.lie import LieElement, bracket, substitute, x_count_split
-from lietau.obstruction import (_symplectic_inverse, coordinate_lagrangians,
-                                grade_decompose, obstruction_vanishes,
-                                perturbed_lagrangians, robustness_scan,
-                                scan_family, value_obstruction_vanishes)
+from lietau.obstruction import (_handlebody_image, _symplectic_inverse,
+                                coordinate_lagrangians, grade_decompose,
+                                obstruction_vanishes, perturbed_lagrangians,
+                                robustness_scan, scan_family,
+                                value_obstruction_vanishes)
 from lietau.surface import b_only_part
 from lietau.symplectic import Lagrangian, adapt_symplectic_basis
 
@@ -58,7 +62,6 @@ def test_symplectic_class_has_grade_one(model_of):
 
 
 def test_components_sum_to_total(model_of):
-    from liegen import random_like
     m = model_of(3)
     rng = random.Random(404)
     value = TauValue(m, 3, False, {0: random_like(3, 6, rng),
@@ -184,6 +187,89 @@ def test_lagrangian_of_another_genus_is_refused(model_of):
         with pytest.raises(DimensionMismatchError):
             grade_decompose(value, lag)
         with pytest.raises(DimensionMismatchError):
+            _handlebody_image(value, lag)
+        with pytest.raises(DimensionMismatchError):
             obstruction_vanishes(f, 2, lag)
         with pytest.raises(DimensionMismatchError):
             robustness_scan(f, 2, lagrangians=[lag], height=0)
+
+
+def test_free_value_is_refused(model_of):
+    f = boundary_twist(model_of(2))
+    lag = Lagrangian.standard(2)
+    with pytest.raises(PreconditionError):
+        value_obstruction_vanishes(tau1(f, 3), lag)
+    with pytest.raises(PreconditionError):
+        grade_decompose(tau1(f, 3), lag)
+
+
+def test_symplectic_inverse_is_the_inverse():
+    for lag in scan_family(3, 2):
+        s = adapt_symplectic_basis(lag)
+        assert mat_mul(_symplectic_inverse(s, 3), s) == identity_matrix(6)
+
+
+def graph_lagrangian(g, sym):
+    """span{alpha_i + sum_j S_ij beta_j} for the symmetric S read from the
+    upper-triangle entries `sym`, row by row."""
+    s = [[0] * g for _ in range(g)]
+    it = iter(sym)
+    for i in range(g):
+        for jj in range(i, g):
+            s[i][jj] = s[jj][i] = next(it)
+    return Lagrangian(g, [[int(i == jj) for jj in range(g)] + s[i]
+                          for i in range(g)])
+
+
+def _image_values(model, g3_braids, rng):
+    """Johnson values of maps, then renormalized random values, k = 2..4."""
+    g = model.genus
+    t = boundary_twist(model)
+    values = [tau(t, 3)]
+    if g == 3:
+        c, d = g3_braids["c"].fwd, g3_braids["d"].fwd
+        values += [tau(c, 2), tau(d, 3), tau(t.compose(d), 3),
+                   tau(d.compose(d), 3)]
+    for k in (2, 3, 4):
+        idx = rng.sample(range(2 * g), 2)
+        values.append(TauValue(model, k, False, {
+            m: random_like(k, 2 * g, rng) for m in idx}).renormalize())
+    return values
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_handlebody_image_is_grade_zero(model_of, g3_braids, g):
+    # the image in H/L is the grade-0 component of the full decomposition,
+    # term for term, and it decides the obstruction
+    rng = random.Random(1700 + g)
+    lags = scan_family(g, 2) + [
+        graph_lagrangian(g, [rng.randint(-3, 3) for _ in range(g * (g + 1) // 2)])
+        for _ in range(4)]
+    seen = set()
+    for value in _image_values(model_of(g), g3_braids, rng):
+        for lag in lags:
+            image = _handlebody_image(value, lag)
+            assert image == grade_decompose(value, lag).component(0)
+            assert value_obstruction_vanishes(value, lag) == image.is_zero()
+            seen.add(image.is_zero())
+    assert seen == {True, False}
+
+
+# model_of hands out the session's shared models, so it holds no state
+# that a generated input could leave behind
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 3).flatmap(lambda g: st.tuples(
+    st.just(g), st.lists(st.integers(-4, 4), min_size=g * (g + 1) // 2,
+                         max_size=g * (g + 1) // 2))),
+       st.integers(2, 4), st.integers(0, 2 ** 16))
+def test_handlebody_image_on_graph_lagrangians(model_of, g_sym, k, seed):
+    g, sym = g_sym
+    lag = graph_lagrangian(g, sym)
+    rng = random.Random(seed)
+    value = TauValue(model_of(g), k, False, {
+        m: random_like(k, 2 * g, rng) for m in rng.sample(range(2 * g), 2)
+    }).renormalize()
+    image = _handlebody_image(value, lag)
+    assert image == grade_decompose(value, lag).component(0)
+    assert value_obstruction_vanishes(value, lag) == image.is_zero()
