@@ -9,16 +9,18 @@ Duke Math. J. 70, 1993; Kitano, Topology Appl. 69, 1996).  Depth in the
 filtration is the least positive degree of a generator defect series
 D_i = M(phi(x_i)) M(x_i)^-1, walked up the caps together (`magnus.walk`);
 tau_k is eta^-1 after the defect-class homomorphism sigma, which reads
-the degree-k classes of the D_i (`magnus.leading_class`).
+the degree-k classes of the D_i (`magnus.leading_class`).  eta is the
+duality omega gives between H (x) L_k and Hom(H, L_k); in the basis
+alpha_1..alpha_g, beta_1..beta_g it is the signed swap of the two halves,
+alpha_i (x) l -> (beta_i -> l) and beta_i (x) l -> (alpha_i -> -l).
 
 A class built by `compose` holds its two factors and nothing else.  It
 needs no relator check, since phi(r0) = r0 and psi(r0) = r0 give
 phi(psi(r0)) = r0.  Its action at a cap is its factors' actions composed by
 series substitution, and its image words are its factors' words composed,
-built only when `endo` is read: by equality, hashing and repr, `defect`,
-`push_tuple_of` and `serialize.mapping_class_json`.  So no depth or
-Johnson value of a long composite of short factors expands or even forms
-its image words.
+built only when `endo` is read (`MappingClassData` lists the readers).  So
+no depth or Johnson value of a long composite of short factors expands or
+even forms its image words.
 """
 
 import threading
@@ -40,7 +42,9 @@ class MappingClassData:
     images are given).
 
     The image words (key None) and the action at each cap are cached on
-    every class of a composition tree, under its own lock.
+    every class of a composition tree, under its own lock.  A composite's
+    words are built only when `endo` is read: by equality, hashing and
+    repr, `defect`, `push_tuple_of` and `serialize.mapping_class_json`.
     """
 
     def __init__(self, model, endo):
@@ -139,68 +143,49 @@ def boundary_twist(model):
     return MappingClassData(model, GroupEndomorphism(model.alphabet, images))
 
 
-def _as_b_word(model, w):
-    """Accept a word over the surface alphabet (b-letters only) or over the
-    plain b alphabet; return it over the surface alphabet."""
-    g = model.genus
-    if w.alphabet == model.alphabet:
-        # the a-letters are generators i < g, with the codes i and ~i
-        if any(-g <= x < g for x in set(w.buf)):
-            raise PreconditionError("push words must use only b-letters")
-        return w
-    if len(w.alphabet) == g:
-        # code x is generator x, or ~x inverted (words.py); generator i of
-        # the b alphabet is generator g + i of the surface
-        return Word(model.alphabet,
-                    [x + g + 1 if x >= 0 else x - g for x in w.buf])
-    raise PreconditionError("push word over an unexpected alphabet")
-
-
 def _push_data(model, lambdas):
-    """Conjugated b-images and the telescoping a-corrections for a push tuple.
+    """The push words, checked, and their conjugated b-images.
 
-    The tuple is admissible when the conjugated b-images multiply back to the
-    boundary product, i.e. c_g ... c_1 = b_g ... b_1 read right to left; the
-    corrections u_i then make the full endomorphism fix r0 exactly.
+    Each word must be over the surface alphabet in b-letters only.  The
+    tuple is admissible when the conjugated b-images multiply back to the
+    boundary product, i.e. c_g ... c_1 = b_g ... b_1 read right to left.
     """
     g = model.genus
     if len(lambdas) != g:
         raise PreconditionError("need one push word per handle")
-    lams = [_as_b_word(model, w) for w in lambdas]
+    for w in lambdas:
+        if w.alphabet != model.alphabet:
+            raise PreconditionError("push word over an unexpected alphabet")
+        # the a-letters are generators i < g, with the codes i and ~i
+        if any(-g <= x < g for x in set(w.buf)):
+            raise PreconditionError("push words must use only b-letters")
+    lams = list(lambdas)
     cs = [~lams[i] * model.b(i + 1) * lams[i] for i in range(g)]
-    lhs = Word(model.alphabet)
-    rhs = Word(model.alphabet)
+    lhs = rhs = Word(model.alphabet)
     for i in range(g - 1, -1, -1):
         lhs = lhs * cs[i]
         rhs = rhs * model.b(i + 1)
     if lhs != rhs:
         raise RelationViolatedError(
             "push words do not satisfy the boundary product relation")
-    us = []
-    acc_c = Word(model.alphabet)
-    acc_b = Word(model.alphabet)
-    for i in range(g):
-        us.append(acc_c * ~acc_b)
-        acc_c = cs[i] * acc_c
-        acc_b = model.b(i + 1) * acc_b
-    return lams, cs, us
+    return lams, cs
 
 
 def braid_automorphism(model, lambdas):
     """The mapping class pushing handle i along the loop lambda_i.
 
     b_i is conjugated by the push loop and a_i picks up the loop on the
-    right, together with the telescoping correction that keeps the boundary
-    relator fixed letter for letter.
+    right, after the telescoping correction (c_{i-1} ... c_1)(b_{i-1} ...
+    b_1)^-1 that keeps the boundary relator fixed letter for letter.
     """
-    g = model.genus
-    lams, cs, us = _push_data(model, lambdas)
+    lams, cs = _push_data(model, lambdas)
     images = []
-    for i in range(g):
-        images.append(us[i] * model.a(i + 1) * lams[i])
-    images.extend(cs)
-    f = MappingClassData(model, GroupEndomorphism(model.alphabet, images))
-    return f
+    acc_c = acc_b = Word(model.alphabet)
+    for i, (lam, c) in enumerate(zip(lams, cs)):
+        images.append(acc_c * ~acc_b * model.a(i + 1) * lam)
+        acc_c = c * acc_c
+        acc_b = model.b(i + 1) * acc_b
+    return MappingClassData(model, GroupEndomorphism(model.alphabet, images + cs))
 
 
 def johnson_depth(f, cap=DEFAULT_CAP):
@@ -239,23 +224,27 @@ def _defect_series(f, i):
     return lambda cap: f.action(cap).defect(i)
 
 
+def _weight_k_items(items, k, message):
+    """The nonzero elements of items, a dict or (index, element) pairs, as a
+    dict; raises ValueError(message % (weight, k)) for a weight other than k."""
+    out = {}
+    for m, e in (items.items() if isinstance(items, dict) else items):
+        if e.weight != k:
+            raise ValueError(message % (e.weight, k))
+        if not e.is_zero():
+            out[m] = e
+    return out
+
+
 class HomValue:
     """A homomorphism from homology to the weight-k layer, on basis classes."""
 
     __slots__ = ("model", "k", "reduced", "values")
 
     def __init__(self, model, k, values, reduced):
-        vals = {}
-        for m, e in (values.items() if isinstance(values, dict) else values):
-            if e.weight != k:
-                raise ValueError("value of weight %d in weight-%d homomorphism"
-                                 % (e.weight, k))
-            if not e.is_zero():
-                vals[m] = e
-        self.model = model
-        self.k = k
-        self.reduced = reduced
-        self.values = vals
+        self.model, self.k, self.reduced = model, k, reduced
+        self.values = _weight_k_items(
+            values, k, "value of weight %d in weight-%d homomorphism")
 
     def value(self, m):
         return self.values.get(m, LieElement.zero(self.k))
@@ -285,17 +274,9 @@ class TauValue:
     __slots__ = ("model", "k", "free", "terms")
 
     def __init__(self, model, k, free, terms):
-        tm = {}
-        for m, e in (terms.items() if isinstance(terms, dict) else terms):
-            if e.weight != k:
-                raise ValueError("term of weight %d in weight-%d value"
-                                 % (e.weight, k))
-            if not e.is_zero():
-                tm[m] = e
-        self.model = model
-        self.k = k
-        self.free = free
-        self.terms = tm
+        self.model, self.k, self.free = model, k, free
+        self.terms = _weight_k_items(
+            terms, k, "term of weight %d in weight-%d value")
 
     @staticmethod
     def zero(model, k, free=False):
@@ -371,40 +352,21 @@ def sigma(f, k, free=False):
     return HomValue(f.model, k, dict(enumerate(classes)), reduced=not free)
 
 
-def _omega_basis(g, i, m):
-    if m == i + g:
-        return 1
-    if m == i - g:
-        return -1
-    return 0
-
-
 def eta(tv):
-    """h (x) l  |->  ([x] -> omega(h, [x]) l), on basis-indexed terms."""
+    """h (x) l  |->  ([x] -> omega(h, [x]) l): the signed swap sending
+    alpha_i (x) l to beta_i -> l and beta_i (x) l to alpha_i -> -l."""
     g = tv.model.genus
-    vals = {}
-    for m in range(2 * g):
-        acc = LieElement.zero(tv.k)
-        for i, e in tv.terms.items():
-            c = _omega_basis(g, i, m)
-            if c:
-                acc = acc + e.scale(c)
-        vals[m] = acc
-    return HomValue(tv.model, tv.k, vals, reduced=not tv.free)
+    return HomValue(tv.model, tv.k,
+                    {(m + g) % (2 * g): e if m < g else -e
+                     for m, e in tv.terms.items()}, reduced=not tv.free)
 
 
 def eta_inverse(h):
     """sum over i of alpha_i (x) h(beta_i) - beta_i (x) h(alpha_i)."""
     g = h.model.genus
-    terms = {}
-    for i in range(g):
-        hb = h.value(g + i)
-        if not hb.is_zero():
-            terms[i] = hb
-        ha = h.value(i)
-        if not ha.is_zero():
-            terms[g + i] = -ha
-    return TauValue(h.model, h.k, free=not h.reduced, terms=terms)
+    return TauValue(h.model, h.k, not h.reduced,
+                    {(m + g) % (2 * g): -e if m < g else e
+                     for m, e in h.values.items()})
 
 
 def tau(f, k):
@@ -424,7 +386,7 @@ def point_push_tau(model, lambdas, k):
     - sum over i of beta_i (x) [lambda_i], surface-reduced.
     """
     g = model.genus
-    lams, _, _ = _push_data(model, lambdas)
+    lams, _ = _push_data(model, lambdas)
     ideal = model.symplectic_ideal()
     terms = {}
     for i in range(g):

@@ -13,8 +13,9 @@ so the rewriting terminates; results are memoized per tree pair.
 """
 
 import threading
+from functools import lru_cache
 
-from .hall import HallTree, is_basic
+from .hall import HallTree
 from .words import Word, commutator as word_commutator
 
 
@@ -176,35 +177,23 @@ def lift_word(t, alphabet):
     return word_commutator(lift_word(t.left, alphabet), lift_word(t.right, alphabet))
 
 
-_expand_memo = {}
-_expand_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def expand_associative(t):
     """Expansion of a tree in the free associative ring: [u,v] -> uv - vu.
 
     Monomials are tuples of leaf indices; this realizes the embedding of the
     free Lie ring into noncommutative polynomials.
     """
-    hit = _expand_memo.get(t)
-    if hit is not None:
-        return hit
     if t.is_leaf():
-        res = {(t.leaf,): 1}
-    else:
-        le = expand_associative(t.left)
-        re = expand_associative(t.right)
-        res = {}
-        for m1, c1 in le.items():
-            for m2, c2 in re.items():
-                m = m1 + m2
-                res[m] = res.get(m, 0) + c1 * c2
-                m = m2 + m1
-                res[m] = res.get(m, 0) - c1 * c2
-        res = {m: c for m, c in res.items() if c}
-    with _expand_lock:
-        _expand_memo[t] = res
-    return res
+        return {(t.leaf,): 1}
+    res = {}
+    for m1, c1 in expand_associative(t.left).items():
+        for m2, c2 in expand_associative(t.right).items():
+            m = m1 + m2
+            res[m] = res.get(m, 0) + c1 * c2
+            m = m2 + m1
+            res[m] = res.get(m, 0) - c1 * c2
+    return {m: c for m, c in res.items() if c}
 
 
 def substitute(e, images):
@@ -256,9 +245,6 @@ def lie_from_json(obj, alphabet=None):
         t = tree_from_json(tj, alphabet)
         if t.weight != weight:
             raise ValueError("tree of weight %d in weight-%d element" % (t.weight, weight))
-        if is_basic(t):
-            out = out + LieElement.from_tree(t, int(c))
-        else:
-            out = out + tree_to_lie(t).scale(int(c))
+        out = out + tree_to_lie(t).scale(int(c))
     return out
 

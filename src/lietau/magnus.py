@@ -27,8 +27,8 @@ the other's (X_i -> A_i - 1), and a generator defect's series is the
 product A_i M(x_i)^-1, so depths and Johnson values of a long composite
 come from its short factors.  Words are expanded only at the leaves of a
 composite, the classes given by image words, on which the boundary
-relator is checked; a composite holds its factors and builds its own words
-only when its `endo` is read (`johnson.MappingClassData`).
+relator is checked; when a composite builds its own words is said at
+`johnson.MappingClassData`.
 
 Every truncated product is `_times`, every cap-by-cap search for a weight
 or class is `walk`, and every series read at a known weight

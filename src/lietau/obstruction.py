@@ -169,7 +169,7 @@ def perturbed_lagrangians(g, height):
 
     For each index pair i <= j and 0 < |c| <= height, the graph Lagrangian
     spanned by alpha_m + c (delta_mi beta_j + delta_mj beta_i), and its
-    mirror over the beta side.
+    mirror over the beta side: the same rows with the halves swapped.
     """
     out = []
     n = 2 * g
@@ -186,16 +186,7 @@ def perturbed_lagrangians(g, height):
                         row[g + i] += c
                     rows.append(row)
                 out.append(Lagrangian(g, rows))
-                rows = []
-                for m in range(g):
-                    row = [0] * n
-                    row[g + m] = 1
-                    if m == i:
-                        row[jj] += c
-                    if m == jj:
-                        row[i] += c
-                    rows.append(row)
-                out.append(Lagrangian(g, rows))
+                out.append(Lagrangian(g, [r[g:] + r[:g] for r in rows]))
     return out
 
 

@@ -95,15 +95,13 @@ def lagrangian_json(lag):
     return {"genus": lag.genus, "span": [list(r) for r in lag.rows]}
 
 
-def parse_mapping_class(obj, model=None):
+def parse_mapping_class(obj):
     from .johnson import MappingClassData
     from .surface import SurfaceModel
     from .words import GroupEndomorphism
     if not isinstance(obj, dict) or "genus" not in obj:
         raise PreconditionError('mapping class JSON needs "genus" and "images"')
-    genus = parse_int(obj["genus"])
-    if model is None or model.genus != genus:
-        model = SurfaceModel(genus)
+    model = SurfaceModel(parse_int(obj["genus"]))
     raw = obj.get("images", {})
     if not isinstance(raw, dict):
         raise PreconditionError('"images" must be an object {name: word}')

@@ -548,25 +548,17 @@ def invariant_lagrangian_report(m, bound=None):
         total = sum(dim for dim, _ in choice)
         if total != g:
             continue
-        rows = [r for _, rs in choice for r in rs]
-        report.candidates_tested += 1
-        if bound is not None and report.candidates_tested > bound:
+        if report.candidates_tested == bound:
             report.notes.append("candidate bound reached")
             break
-        sat = saturate_rows(rows, n)
+        report.candidates_tested += 1
+        sat = saturate_rows([r for _, rs in choice for r in rs], n)
         if len(sat) != g:
             continue
-        ok = True
-        for i in range(g):
-            for jj in range(i + 1, g):
-                if omega(sat[i], sat[jj]) != 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        try:
+            lag = Lagrangian(g, sat)
+        except NotIsotropicError:
             continue
-        lag = Lagrangian(g, sat)
         if not is_invariant(m, lag):
             continue
         report.found = lag

@@ -10,9 +10,8 @@ generator ``s`` if ``s >= 0`` and the inverse of generator ``~s`` otherwise,
 and inverting a letter maps its code ``s`` to ``~s``, which complements
 every byte of it, whatever the int width and byte order.  So the inverse of
 a word is its buffer reversed by a slice and passed once through
-`bytes.translate` with a complementing table, about 7 ns a letter in C; with
-signed letters each one was negated in Python, about 27 ns.  `Word.letters`
-decodes the buffer to a tuple of signed ints for I/O; the hot readers in
+`bytes.translate` with a complementing table, about 7 ns a letter in C.
+`Word.letters` decodes the buffer to a tuple of signed ints for I/O; the hot readers in
 other modules iterate ``buf``.
 
 Products and endomorphism images are built by appending reduced words to a
@@ -24,12 +23,9 @@ slices against the appended word's inverse and splices the rest in with one
 slice, so results come out reduced without a second pass and no letter is
 read in Python.  `apply` and `compose` invert each image once, when first
 read.  Composing the words of the benchmark's two depth-3 genus-3 push
-braids (5.7M letters) and checking the boundary relator on them took
-0.72-0.82 s with tuples of signed ints and 0.23-0.29 s so (Python 3.11).
-A composite mapping class holds its two factors and composes their
-words only when its `endo` is read (by equality, hashing, repr, `defect`,
-`push_tuple_of` and serialization), with no relator re-check; composing
-those words takes 0.09-0.11 s (Python 3.11, 2-core VM).
+braids (5.7M letters) takes 0.09-0.11 s (Python 3.11, 2-core VM).  Which
+readers build a composite mapping class's words is listed at
+`johnson.MappingClassData`.
 `Word(alphabet, letters)` reduces and range-checks any letter sequence;
 `Word._reduced` trusts its buffer and is only fed results of `_append` on
 validated Words.

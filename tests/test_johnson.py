@@ -4,8 +4,8 @@ import pytest
 
 from braidgen import reduced_b_words, search_push_tuples_g2
 from liegen import random_like
-from lietau.errors import (DepthTooShallowError, RelationViolatedError,
-                           WeightTooLowError)
+from lietau.errors import (DepthTooShallowError, PreconditionError,
+                           RelationViolatedError, WeightTooLowError)
 from lietau.hall import hall_basis
 from lietau.johnson import (HomValue, MappingClassData, TauValue,
                             boundary_twist, braid_automorphism, eta,
@@ -89,6 +89,37 @@ def test_eta_examples(model_of):
     # h supported on alpha_1 pulls back to -beta_1 tensor ell
     assert got.term(2) == -ell
     assert set(got.terms) == {2}
+
+
+def test_eta_is_the_signed_swap(model_of):
+    m = model_of(2)
+    ell = LieElement.from_tree(hall_basis(2, 4)[0])
+    # alpha_1 (x) ell <-> (beta_1 -> ell); beta_2 (x) ell <-> (alpha_2 -> -ell)
+    pairs = [({0: ell}, {2: ell}), ({3: ell}, {1: -ell})]
+    for free in (True, False):
+        for terms, values in pairs:
+            tv = TauValue(m, 2, free, terms)
+            h = HomValue(m, 2, values, reduced=not free)
+            assert eta(tv) == h
+            assert eta_inverse(h) == tv
+
+
+def test_eta_of_tau_is_sigma(model_of, g3_braids):
+    t = boundary_twist(model_of(3))
+    c, d = g3_braids["c"].fwd, g3_braids["d"].fwd
+    for f, depth in ((t, 3), (c, 2), (d, 3), (t.compose(d), 3)):
+        for k in range(2, depth + 1):
+            assert eta(tau(f, k)) == sigma(f, k)
+            assert eta(tau1(f, k)) == sigma(f, k, free=True)
+
+
+def test_push_word_over_b_alphabet_is_refused(model_of):
+    m = model_of(2)
+    empty = [Word(m.b_alphabet()), Word(m.b_alphabet())]
+    with pytest.raises(PreconditionError, match="unexpected alphabet"):
+        braid_automorphism(m, empty)
+    with pytest.raises(PreconditionError, match="unexpected alphabet"):
+        point_push_tau(m, empty, 2)
 
 
 def test_eta_round_trips(model_of):

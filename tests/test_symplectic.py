@@ -135,6 +135,26 @@ def test_search_shear_finds_invariant():
     assert got == Lagrangian.standard(1)
 
 
+# diag(1, -1, 1, -1) in the order (alpha1, alpha2, beta1, beta2): the
+# eigenvalue 1 on span{alpha1, beta1}, -1 on span{alpha2, beta2}
+DIAG = [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]
+
+
+def test_search_skips_non_isotropic_candidate():
+    # candidate 1, span{alpha2, beta2}, is skipped; candidate 2 is found
+    rep = invariant_lagrangian_report(DIAG)
+    assert rep.found == Lagrangian(2, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert rep.candidates_tested == 2
+    assert rep.notes == []
+
+
+def test_search_bound_counts_only_tested_candidates():
+    rep = invariant_lagrangian_report(DIAG, bound=1)
+    assert rep.found is None
+    assert rep.notes == ["candidate bound reached"]
+    assert rep.candidates_tested == 1
+
+
 def test_search_genus_cap():
     with pytest.raises(GenusTooLargeError):
         invariant_lagrangian_search(identity_matrix(8))
