@@ -16,6 +16,14 @@ letters the block is the plain multidegree; for the symplectic class it is
 the torus weight.  This keeps the row reduction small even at weight 6 on six
 letters.
 
+A candidate [v, x_i] lies in v's block plus letter i, reduced modulo the
+same lattice, so its block is known before bracketing.  When that block's
+lattice is already Z^N (rank N and every pivot 1; rank N alone may leave
+Z/3) the candidate is skipped: it would reduce to zero by exact divisions
+and change no row, tag or member.  Otherwise it is accumulated straight into
+the block's columns from the memoised tree brackets, in the term order of
+`lie.bracket`, and only a kept candidate becomes a `LieElement`.
+
 Block lattices are built without combination tracking; only `solve_in_span`
 needs the combinations.  The first time it reads a block, that block's
 tracked lattice is built by re-inserting, in tag order, the kept vectors
@@ -27,9 +35,9 @@ touch neither the rows nor their combinations.
 
 import threading
 
-from .hall import hall_basis, witt
+from .hall import HallTree, hall_basis, witt
 from .intlinalg import IntLattice
-from .lie import LieElement, bracket
+from .lie import LieElement, _bracket_trees
 from .words import Word, commutator
 
 
@@ -137,16 +145,45 @@ class GradedIdeal:
             block = lv.blocks.setdefault(key, [])
             lv.columns[t] = key, len(block)
             block.append(t)
+        saturated = set()       # block keys whose lattice is all of Z^N
         for e, lift in self.generators:
             if e.weight == k:
-                self._insert(lv, e, lift)
+                (key, vec), = self._split(lv, e).items()
+                if self._keep(lv, key, vec, saturated):
+                    lv.vectors.append(e)
+                    lv.lifts.append(lift)
         if k > 1:
-            leaves = [LieElement.generator(i) for i in range(self.n)]
-            for tag, v in enumerate(self._levels[k - 1].vectors):
+            prev = self._levels[k - 1]
+            columns = lv.columns
+            leaves = [HallTree.make_leaf(i) for i in range(self.n)]
+            targets = {}        # (block key one weight down, letter) -> key
+            for tag, v in enumerate(prev.vectors):
+                src = prev.columns[next(iter(v.terms))][0]
                 for i, leaf in enumerate(leaves):
-                    bv = bracket(v, leaf)
-                    if not bv.is_zero():
-                        self._insert(lv, bv, (tag, i))
+                    key = targets.get((src, i))
+                    if key is None:
+                        counts = list(src)
+                        counts[i] += 1
+                        key = targets[src, i] = tuple(
+                            self._grading.reduce_mod(counts))
+                    if key in saturated:
+                        continue
+                    # [v, x_i] in the block's columns, in `lie.bracket`'s
+                    # term order
+                    vec = {}
+                    for u, c in v.terms.items():
+                        for t, d in _bracket_trees(u, leaf).items():
+                            j = columns[t][1]
+                            val = vec.get(j, 0) + c * d
+                            if val:
+                                vec[j] = val
+                            else:
+                                del vec[j]
+                    if vec and self._keep(lv, key, vec, saturated):
+                        block = lv.blocks[key]
+                        lv.vectors.append(LieElement._of(
+                            k, {block[j]: c for j, c in vec.items()}))
+                        lv.lifts.append((tag, i))
         lv.rank = sum(lat.rank for lat in lv.lattices.values())
         lv.torsion = tuple(sorted(d for lat in lv.lattices.values()
                                   for d in lat.torsion()))
@@ -175,22 +212,21 @@ class GradedIdeal:
             vec[i] = c
         return out
 
-    def _insert(self, lv, e, lift):
-        """Keep e, with its lift or lift recipe, iff it enlarges the span
-        lattice, so the kept lifts always generate it over the integers."""
-        changed = []
-        for key, vec in self._split(lv, e).items():
-            lat = lv.lattices.get(key)
-            if lat is None:
-                lat = lv.lattices[key] = IntLattice(len(lv.blocks[key]))
-            if lat.add(vec):
-                changed.append(key)
-        if changed:
-            tag = len(lv.vectors)
-            for key in changed:
-                lv.members.setdefault(key, []).append(tag)
-            lv.vectors.append(e)
-            lv.lifts.append(lift)
+    @staticmethod
+    def _keep(lv, key, vec, saturated):
+        """Add vec, a vector's coordinates in block `key`, to that block's
+        lattice.  True iff the lattice grew; the caller then keeps the
+        vector, with its lift or lift recipe, as the next tag, so the kept
+        lifts always generate the span lattice over the integers."""
+        lat = lv.lattices.get(key)
+        if lat is None:
+            lat = lv.lattices[key] = IntLattice(len(lv.blocks[key]))
+        if not lat.add(vec):
+            return False
+        lv.members.setdefault(key, []).append(len(lv.vectors))
+        if lat.rank == lat.N and all(r[j] == 1 for j, r in lat.rows.items()):
+            saturated.add(key)
+        return True
 
     def _tracked(self, lv, key):
         """Block `key`'s lattice with combinations, built on first use from

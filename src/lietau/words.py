@@ -21,11 +21,12 @@ array's suffix, and once a letter pair survives nothing further cancels.
 `_append` finds that cancelled length by galloping compares of array
 slices against the appended word's inverse and splices the rest in with one
 slice, so results come out reduced without a second pass and no letter is
-read in Python.  `apply` and `compose` invert each image once, when first
-read.  Composing the words of the benchmark's two depth-3 genus-3 push
-braids (5.7M letters) takes 0.09-0.11 s (Python 3.11, 2-core VM).  Which
-readers build a composite mapping class's words is listed at
-`johnson.MappingClassData`.
+read in Python.  `apply` and `compose` invert an image once, the first
+time it is appended inverted or cancels at the junction; an image appended
+forward onto a letter it does not cancel is only copied.  Composing the
+words of the benchmark's two depth-3 genus-3 push braids (5.7M letters)
+takes 0.09-0.11 s (Python 3.11, 2-core VM).  Which readers build a
+composite mapping class's words is listed at `johnson.MappingClassData`.
 `Word(alphabet, letters)` reduces and range-checks any letter sequence;
 `Word._reduced` trusts its buffer and is only fed results of `_append` on
 validated Words.
@@ -144,11 +145,15 @@ def _append(out, fwd, back):
 def _substitute(images, inverses, codes):
     """The reduced codes of the word with codes `codes`, each generator i
     read as the Word images[i].  inverses caches {i: the codes of the inverse
-    of images[i]}; each image is inverted when first read."""
+    of images[i]}; an image is inverted when first appended inverted, or
+    appended with its first letter cancelling against out's last."""
     out = array("i")
     for s in codes:
         i = s if s >= 0 else ~s
         img = images[i].buf
+        if s >= 0 and not (out and img and out[-1] == ~img[0]):
+            out.extend(img)
+            continue
         inv = inverses.get(i)
         if inv is None:
             inv = inverses[i] = _inverse(img)

@@ -167,34 +167,58 @@ def test_blocks_are_the_grading_classes(model_of):
             assert len(set().union(*classes)) == len(classes)
 
 
-def test_tracking_on_demand_equals_tracking_at_build(model_of):
+def test_tracking_on_demand_equals_tracking_at_build():
     # track every candidate of the build as it is inserted, kept or not,
-    # tagged by the index it would get if kept; the lattices solve_in_span
-    # builds from the kept vectors that changed each block must have the
-    # same rows and combos
-    for g, kmax in ((1, 5), (2, 5)):
-        m = model_of(g)
+    # tagged by the index it would get if kept, including the candidates
+    # the build skips because their block's lattice is already Z^N; the
+    # kept vectors and lift recipes must be the build's, and the lattices
+    # solve_in_span builds from the kept vectors that changed each block
+    # must have the same rows and combos (fresh models, so that no lift
+    # recipe has been replaced by its word yet)
+    for g, kmax in ((1, 5), (2, 5), (3, 5)):
+        m = SurfaceModel(g)
         for ideal in (m.symplectic_ideal(), m.handlebody_ideal()):
             leaves = [LieElement.generator(i) for i in range(ideal.n)]
             for k in range(1, kmax + 1):
                 lv = ideal.level(k)
-                cands = [e for e, _ in ideal.generators if e.weight == k]
+                cands = [(e, lift) for e, lift in ideal.generators
+                         if e.weight == k]
                 if k > 1:
-                    cands += [bracket(v, leaf) for v in ideal.level(k - 1).vectors
-                              for leaf in leaves]
-                eager, kept = {}, 0
-                for e in cands:
+                    cands += [(bracket(v, leaf), (tag, i)) for tag, v
+                              in enumerate(ideal.level(k - 1).vectors)
+                              for i, leaf in enumerate(leaves)]
+                eager, kept = {}, []
+                for e, lift in cands:
                     changed = False
                     for key, vec in ideal._split(lv, e).items():
                         lat = eager.setdefault(
                             key, IntLattice(len(lv.blocks[key]), track=True))
-                        changed |= lat.add(vec, kept)
-                    kept += changed
-                assert kept == len(lv.vectors)
+                        changed |= lat.add(vec, len(kept))
+                    if changed:
+                        kept.append((e, lift))
+                assert [e for e, _ in kept] == lv.vectors
+                assert [lift for _, lift in kept] == lv.lifts
                 for key, lat in eager.items():
                     ondemand = ideal._tracked(lv, key)
                     assert ondemand.rows == lat.rows == lv.lattices[key].rows
                     assert ondemand.combos == lat.combos
+
+
+def test_full_rank_block_with_non_unit_pivot_is_not_skipped():
+    # after 3[y,x] the weight-2 block has rank N = 1 but is 3Z, not Z: the
+    # candidate [2x, y] = -2[y,x] must still be inserted, and it makes the
+    # block Z; skipping on full rank alone would leave torsion (3,)
+    alph = Alphabet(["x", "y"])
+    x, y = LieElement.generator(0), LieElement.generator(1)
+    wx, wy = Word(alph, (1,)), Word(alph, (2,))
+    yx = bracket(y, x)
+    ideal = GradedIdeal(alph, [(x.scale(2), wx * wx),
+                               (yx.scale(3), commutator(wy, wx) ** 3)])
+    lv = ideal.level(2)
+    assert lv.vectors == [yx.scale(3), yx.scale(-2)]
+    assert lv.lifts[1] == (0, 1)
+    assert lv.torsion == ()
+    assert ideal.quotient_rank(2) == 0
 
 
 def test_span_from_threads_is_identical():
