@@ -157,10 +157,10 @@ def cmd_obstruct(args, cfg):
 def cmd_scan(args, cfg):
     from .obstruction import robustness_scan
     f = serialize.parse_mapping_class(_read_json_arg(args.map))
-    extra = []
-    if args.lagrangians:
-        for obj in _read_json_arg(args.lagrangians):
-            extra.append(serialize.parse_lagrangian(obj))
+    extra = _read_json_arg(args.lagrangians) if args.lagrangians else []
+    if not isinstance(extra, list):
+        raise PreconditionError("--lagrangians must be a JSON array")
+    extra = [serialize.parse_lagrangian(obj) for obj in extra]
     report = robustness_scan(f, args.k, lagrangians=extra, height=cfg["height"])
     out = {
         "k": args.k,

@@ -6,31 +6,25 @@ occurrences of the kernel-side letters x_i.  The induced map kills exactly
 the positive grades, so the obstruction vanishes iff the grade-0 component
 of the Johnson value does.
 
-Grade 0 needs neither the adapted basis nor a reduction.  Row g+i of S^-1 is
-omega(x_i, .), so the y-side coordinates of a vector v are its image
-pi(v) = sum_i omega(x_i, v) b_i in H/L.  The x-free part of a substitution
-is the substitution by the images' y-parts alone.  And the symplectic class
-is sum_i [x_i, y_i] in any adapted basis, so every term of every element of
-its ideal has an x-letter: reducing modulo the ideal moves positive grades
-only.  `_handlebody_image` therefore applies pi to every tensor index and
-every leaf of the reduced value and stops there; `grade_decompose` keeps the
-full split, which the CLI prints.
+The adapted coordinates are read off the form: the x_i-coordinate of v is
+omega(v, y_i) = -dual(y_i) . v and its y_i-coordinate is
+omega(x_i, v) = dual(x_i) . v, so these 2g covectors are the rows of S^-1.
+
+Grade 0 needs neither the adapted basis nor a reduction.  The y-side
+coordinates of v are its image pi(v) = sum_i omega(x_i, v) b_i in H/L, and
+the x-free part of a substitution is the substitution by the images' y-parts
+alone.  And the symplectic class is sum_i [x_i, y_i] in any adapted basis,
+so every term of every element of its ideal has an x-letter: reducing modulo
+the ideal moves positive grades only.  `_handlebody_image` therefore applies
+pi to every tensor index and every leaf of the reduced value and stops there;
+`grade_decompose` keeps the full split, which the CLI prints.
 """
 
 from .errors import DimensionMismatchError, PreconditionError
 from .hall import HallTree
 from .johnson import TauValue, tau
 from .lie import LieElement, substitute, x_count_split
-from .symplectic import Lagrangian, adapt_symplectic_basis
-
-
-def _symplectic_inverse(s, g):
-    """S^-1 = -J S^T J for integer symplectic S = [[A, B], [C, D]]: the
-    signed block transpose [[D^T, -B^T], [-C^T, A^T]]."""
-    swap = list(range(g, 2 * g)) + list(range(g))
-    sign = [1] * g + [-1] * g
-    return [[sign[r] * sign[c] * s[swap[c]][swap[r]] for c in range(2 * g)]
-            for r in range(2 * g)]
+from .symplectic import Lagrangian, adapt_symplectic_basis, dual
 
 
 def _check_reduced(value, lagrangian):
@@ -43,16 +37,15 @@ def _check_reduced(value, lagrangian):
 
 
 class GradedDecomposition:
-    """Components of a Johnson value by kernel-letter count, in the adapted
-    coordinates; they always sum back to the substituted input."""
+    """Components of a Johnson value by kernel-letter count, in the letters
+    of a basis adapted to the Lagrangian: `total` is the value rewritten in
+    those letters and re-reduced, and the components sum back to it."""
 
-    __slots__ = ("model", "k", "lagrangian", "adapted", "components", "total")
+    __slots__ = ("model", "k", "components", "total")
 
-    def __init__(self, model, k, lagrangian, adapted, components, total):
+    def __init__(self, model, k, components, total):
         self.model = model
         self.k = k
-        self.lagrangian = lagrangian
-        self.adapted = adapted
         self.components = components
         self.total = total
 
@@ -77,20 +70,10 @@ def grade_decompose(value, lagrangian):
     _check_reduced(value, lagrangian)
     model = value.model
     g = model.genus
-    s = adapt_symplectic_basis(lagrangian)
-    sinv = _symplectic_inverse(s, g)
-    images = []
-    for m in range(2 * g):
-        images.append(LieElement(1, [(HallTree.make_leaf(jj), sinv[jj][m])
-                                     for jj in range(2 * g)]))
-    terms = {}
-    for m, e in value.terms.items():
-        sub = substitute(e, images)
-        for jj in range(2 * g):
-            c = sinv[jj][m]
-            if c and not sub.is_zero():
-                terms[jj] = terms.get(jj, LieElement.zero(value.k)) + sub.scale(c)
-    total = TauValue(model, value.k, False, terms).renormalize()
+    cols = list(zip(*adapt_symplectic_basis(lagrangian)))  # x_i, then y_i
+    coords = ([[-v for v in dual(y)] for y in cols[g:]]
+              + [dual(x) for x in cols[:g]])
+    total = _change_letters(value, coords, 0).renormalize()
     components = {}
     for m, e in total.terms.items():
         base = 1 if m < g else 0
@@ -100,7 +83,7 @@ def grade_decompose(value, lagrangian):
     components = {i: TauValue(model, value.k, False, tm)
                   for i, tm in components.items()}
     components = {i: tv for i, tv in components.items() if not tv.is_zero()}
-    return GradedDecomposition(model, value.k, lagrangian, s, components, total)
+    return GradedDecomposition(model, value.k, components, total)
 
 
 def _handlebody_image(value, lagrangian):
@@ -108,23 +91,27 @@ def _handlebody_image(value, lagrangian):
     letters b_i = y_i (index g + i); term for term it is
     `grade_decompose(value, lagrangian).component(0)`."""
     _check_reduced(value, lagrangian)
-    g = lagrangian.genus
-    # pairs[c][i] = omega(x_i, e_c), the b_i coordinate of pi(e_c)
-    pairs = [[-x[c + g] if c < g else x[c - g] for x in lagrangian.rows]
-             for c in range(2 * g)]
-    leaves = [HallTree.make_leaf(g + i) for i in range(g)]
-    images = [LieElement(1, zip(leaves, row)) for row in pairs]
+    return _change_letters(value, [dual(x) for x in lagrangian.rows],
+                           lagrangian.genus)
+
+
+def _change_letters(value, rows, first):
+    """The value with its tensor index and every leaf m replaced by
+    sum_j rows[j][m] letter(first + j)."""
+    leaves = [HallTree.make_leaf(first + j) for j in range(len(rows))]
+    images = [LieElement(1, zip(leaves, col)) for col in zip(*rows)]
     terms = {}
     for m, e in value.terms.items():
-        if not any(pairs[m]):
+        col = [row[m] for row in rows]
+        if not any(col):
             continue
         sub = substitute(e, images)
         if sub.is_zero():
             continue
-        for i, c in enumerate(pairs[m]):
+        for j, c in enumerate(col):
             if c:
-                terms[g + i] = (terms[g + i] + sub.scale(c) if g + i in terms
-                                else sub.scale(c))
+                terms[first + j] = (terms[first + j] + sub.scale(c)
+                                    if first + j in terms else sub.scale(c))
     return TauValue(value.model, value.k, False, terms)
 
 

@@ -25,27 +25,28 @@ def gram_matrix(g):
     return j
 
 
+def dual(u):
+    """The covector omega(u, .): u's halves swapped, the new first half
+    negated, so that omega(u, v) = dual(u) . v."""
+    g = len(u) // 2
+    return [-v for v in u[g:]] + list(u[:g])
+
+
 def omega(u, v):
     """Algebraic intersection pairing in the standard symplectic basis."""
     if len(u) != len(v) or len(u) % 2:
         raise DimensionMismatchError("vectors must share an even dimension",
                                      lengths=(len(u), len(v)))
-    g = len(u) // 2
-    return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
+    return sum(a * b for a, b in zip(dual(u), v))
 
 
 def is_symplectic(m):
-    """True iff M^T J M = J.
-
-    J M is M with its two row halves swapped and the new lower half negated,
-    so one product remains.
-    """
+    """True iff M^T J M = J, that is omega(c_i, c_j) = J_ij on the columns."""
     n = len(m)
     if n % 2 or any(len(r) != n for r in m):
         return False
-    g = n // 2
-    jm = list(m[g:]) + [[-v for v in r] for r in m[:g]]
-    return mat_mul(transpose(m), jm) == gram_matrix(g)
+    cols = transpose(m)
+    return [mat_vec(cols, dual(c)) for c in cols] == gram_matrix(n // 2)
 
 
 def eigen_pm1_condition(m):
@@ -56,10 +57,12 @@ def eigen_pm1_condition(m):
     """
     if not is_symplectic(m):
         raise PreconditionError("matrix is not symplectic")
-    n = len(m)
-    m_minus = [[m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    m_plus = [[m[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    return bool(int_kernel_basis(m_minus, n) or int_kernel_basis(m_plus, n))
+    # det(M -+ I) = 0 iff M -+ I has a nonzero integer kernel; the degree is
+    # even, so p(1) and p(-1) are e + o and e - o for the sums e and o of
+    # the coefficients at even and odd positions
+    p = charpoly(m)
+    even, odd = sum(p[::2]), sum(p[1::2])
+    return even == -odd or even == odd
 
 
 class Lagrangian:
@@ -106,8 +109,7 @@ class Lagrangian:
     @staticmethod
     def standard(genus):
         """span{alpha_1..alpha_g}."""
-        rows = [[1 if j == i else 0 for j in range(2 * genus)] for i in range(genus)]
-        return Lagrangian(genus, rows)
+        return Lagrangian.coordinate(genus, ())
 
     @staticmethod
     def coordinate(genus, beta_indices):
@@ -145,9 +147,8 @@ def adapt_symplectic_basis(lagrangian):
     g = lagrangian.genus
     n = 2 * g
     x_rows = [list(r) for r in lagrangian.rows]
-    j = gram_matrix(g)
-    # pairing matrix: A[i][m] = omega(x_i, e_m) = (J^T x_i)_m
-    a = [mat_vec(transpose(j), x) for x in x_rows]
+    # pairing matrix: A[i][m] = omega(x_i, e_m)
+    a = [dual(x) for x in x_rows]
     lat = IntLattice(g, track=True)
     for mcol in range(n):
         lat.add([a[i][mcol] for i in range(g)], tag=mcol)
@@ -210,12 +211,11 @@ def _poly_divmod(p, q):
     return _poly_trim(out), p
 
 
-def _poly_sub(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, v in enumerate(p):
-        out[i] += v
+def _poly_add(p, q, c=1):
+    """p + c q."""
+    out = [Fraction(v) for v in p] + [Fraction(0)] * (len(q) - len(p))
     for i, v in enumerate(q):
-        out[i] -= v
+        out[i] += c * v
     return _poly_trim(out)
 
 
@@ -333,7 +333,6 @@ class _Field:
 
     def __init__(self, p_coeffs_low_first):
         self.p = [Fraction(v) for v in p_coeffs_low_first]
-        self.deg = len(self.p) - 1
 
     def reduce(self, coeffs):
         _, r = _poly_divmod([Fraction(v) for v in coeffs], self.p)
@@ -341,17 +340,6 @@ class _Field:
 
     def mul(self, a, b):
         return self.reduce(_poly_mul(a, b))
-
-    def add(self, a, b):
-        out = [Fraction(0)] * max(len(a), len(b))
-        for i, v in enumerate(a):
-            out[i] += v
-        for i, v in enumerate(b):
-            out[i] += v
-        return _poly_trim(out)
-
-    def neg(self, a):
-        return [-v for v in a]
 
     def inv(self, a):
         # extended Euclid in Q[x]
@@ -362,29 +350,20 @@ class _Field:
         while r1:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+            s0, s1 = s1, _poly_add(s0, _poly_mul(q, s1), -1)
         if len(r0) != 1:
             raise ZeroDivisionError("polynomial is not invertible (reducible modulus?)")
         c = r0[0]
         return self.reduce([v / c for v in s0])
 
-    def x(self):
-        return self.reduce([Fraction(0), Fraction(1)])
-
-    def of_int(self, c):
-        return self.reduce([Fraction(c)])
-
-    def x_inverse(self):
-        return self.inv(self.x())
-
     def subst(self, a, value):
         """a(value) for value an element of the field."""
         out = []
         for c in reversed(a):
-            out = self.add(self.mul(out, value), [c])
+            out = _poly_add(self.mul(out, value), [c])
         return out
 
-    def to_str(self, a, var="z"):
+    def to_str(self, a):
         if not a:
             return "0"
         parts = []
@@ -393,27 +372,19 @@ class _Field:
                 if i == 0:
                     parts.append(str(c))
                 elif i == 1:
-                    parts.append("%s*%s" % (c, var))
+                    parts.append("%s*z" % c)
                 else:
-                    parts.append("%s*%s^%d" % (c, var, i))
+                    parts.append("%s*z^%d" % (c, i))
         return " + ".join(parts)
-
-
-def _is_reciprocal(coeffs_high_first):
-    n = len(coeffs_high_first) - 1
-    return all(coeffs_high_first[i] == coeffs_high_first[n - i]
-               for i in range(len(coeffs_high_first))) or all(
-        coeffs_high_first[i] == -coeffs_high_first[n - i]
-        for i in range(len(coeffs_high_first)))
 
 
 def _eigenvector_over_field(m, field):
     """Nonzero v with (M - x I) v = 0 over Q[x]/(p), p a factor of charpoly."""
     n = len(m)
-    x = field.x()
-    rows = [[field.of_int(m[i][jcol]) for jcol in range(n)] for i in range(n)]
+    x = field.reduce([0, 1])
+    rows = [[field.reduce([m[i][jcol]]) for jcol in range(n)] for i in range(n)]
     for i in range(n):
-        rows[i][i] = field.add(rows[i][i], field.neg(x))
+        rows[i][i] = _poly_add(rows[i][i], x, -1)
     # Gaussian elimination over the field
     pivots = []
     r = 0
@@ -431,7 +402,7 @@ def _eigenvector_over_field(m, field):
         for i in range(n):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [field.add(v, field.neg(field.mul(f, w)))
+                rows[i] = [_poly_add(v, field.mul(f, w), -1)
                            for v, w in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
@@ -440,9 +411,9 @@ def _eigenvector_over_field(m, field):
         raise InternalFault("no eigenvector over the factor field")
     v = [[] for _ in range(n)]
     fcol = free[0]
-    v[fcol] = field.of_int(1)
+    v[fcol] = field.reduce([1])
     for rr, pc in enumerate(pivots):
-        v[pc] = field.neg(rows[rr][fcol])
+        v[pc] = [-c for c in rows[rr][fcol]]
     return v
 
 
@@ -497,52 +468,45 @@ def invariant_lagrangian_report(m, bound=None):
         raise GenusTooLargeError("search supports genus <= 3, got %d" % g)
     report = SearchReport()
     option_sets = []   # per factor: list of (dim, rows)
-    for fc, mult in _factor_reciprocal(charpoly(m)):  # highest first
-        if len(fc) == 2:
-            root = -fc[1] // fc[0]
-            report.rational_eigenvalues.append(root)
-            options = [(0, [])]
-            seen = set()
-            shifted = [[m[i][jj] - (root if i == jj else 0) for jj in range(n)]
-                       for i in range(n)]
-            power = identity_matrix(n)
-            for _lvl in range(mult):
-                power = mat_mul(power, shifted)
-                basis = int_kernel_basis(power, n)
-                for size in range(1, len(basis) + 1):
-                    for idxs in combinations(range(len(basis)), size):
-                        rows = [basis[i] for i in idxs]
-                        keyrows = tuple(map(tuple, hermite_rows(rows, n)))
-                        if keyrows in seen:
-                            continue
-                        seen.add(keyrows)
-                        options.append((len(keyrows), [list(r) for r in keyrows]))
-            option_sets.append(options)
+    for fc, mult in _factor_reciprocal(charpoly(m)):  # monic, highest first
+        # a rational eigenvalue offers every subset of the kernel basis of
+        # each power of M - root; any other factor only its whole primary
+        # component.  Kernel bases are Hermite rows, and so are their subsets.
+        rational = len(fc) == 2
+        if rational:
+            report.rational_eigenvalues.append(-fc[1])
+        options, seen = [(0, [])], set()
+        pm, power = poly_eval_matrix(fc, m), identity_matrix(n)
+        for level in range(1, mult + 1):
+            power = mat_mul(power, pm)
+            if not rational and level < mult:
+                continue
+            basis = int_kernel_basis(power, n)
+            sizes = range(1, len(basis) + 1) if rational else [len(basis)]
+            for rows in (c for size in sizes for c in combinations(basis, size)):
+                key = tuple(map(tuple, rows))
+                if key not in seen:
+                    seen.add(key)
+                    options.append((len(rows), [list(r) for r in rows]))
+        option_sets.append(options)
+        if rational:
+            continue
+        # certificate: the real 2-planes of a conjugate pair are isotropic
+        # iff omega(v, v-bar) = 0; record the exact field value
+        if fc == fc[::-1]:
+            field = _Field(fc[::-1])
+            v = _eigenvector_over_field(m, field)
+            xinv = field.inv(field.reduce([0, 1]))
+            vbar = [field.subst(c, xinv) for c in v]
+            s = []
+            for i in range(g):
+                s = _poly_add(s, field.mul(v[i], vbar[g + i]))
+                s = _poly_add(s, field.mul(v[g + i], vbar[i]), -1)
+            report.pair_checks.append(
+                PairCheck(_poly_str(fc), field.to_str(s), bool(s)))
         else:
-            pm = poly_eval_matrix(fc, m)
-            power = identity_matrix(n)
-            for _ in range(mult):
-                power = mat_mul(power, pm)
-            comp = int_kernel_basis(power, n)
-            option_sets.append([(0, []), (len(comp), [list(r) for r in comp])])
-            # certificate: the real 2-planes of a conjugate pair are isotropic
-            # iff omega(v, v-bar) = 0; record the exact field value
-            if _is_reciprocal(fc):
-                low_first = [Fraction(c) for c in reversed(fc)]
-                lead = low_first[-1]
-                field = _Field([c / lead for c in low_first])
-                v = _eigenvector_over_field(m, field)
-                xinv = field.x_inverse()
-                vbar = [field.subst(c, xinv) for c in v]
-                s = []
-                for i in range(g):
-                    s = field.add(s, field.mul(v[i], vbar[g + i]))
-                    s = field.add(s, field.neg(field.mul(v[g + i], vbar[i])))
-                report.pair_checks.append(
-                    PairCheck(_poly_str(fc), field.to_str(s), bool(s)))
-            else:
-                report.notes.append(
-                    "factor %s is not reciprocal; no pair certificate" % _poly_str(fc))
+            report.notes.append(
+                "factor %s is not reciprocal; no pair certificate" % _poly_str(fc))
 
     for choice in product(*option_sets):
         total = sum(dim for dim, _ in choice)

@@ -345,7 +345,7 @@ def word_to_str(w):
 
 def _power(alphabet, name, exp):
     """The letters of name^exp, for an exponent int() reads."""
-    if name not in alphabet.index:
+    if not isinstance(name, str) or name not in alphabet.index:
         raise UnknownGeneratorError("unknown generator %r" % name,
                                     alphabet=alphabet.names)
     i = alphabet.index[name] + 1

@@ -275,6 +275,11 @@ def test_domain_error_exit_code(capsys):
     ["obstruct", "--k", "2", "--map", '{"genus":1,"images":{}}',
      "--lagrangian", '{"genus":1,"span":{"01":7}}'],
     ["depth", "--map", '{"genus":2,"images":{"a1":["b1"]}}'],
+    # a generator named by an array, and one Lagrangian where an array of
+    # them is expected
+    ["tau", "--k", "2", "--map", '{"genus":1,"images":{"a1":[[["x"],1]]}}'],
+    ["scan", "--k", "2", "--map", '{"genus":1,"images":{}}',
+     "--lagrangians", '{"genus":1,"span":[[1,0]]}'],
 ])
 def test_bad_input_is_one_json_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -294,6 +299,11 @@ def test_bad_input_is_one_json_error(capsys, argv):
     # printed as [,x] and [y,], which no parser reads back
     (["hall", "--k", "2", "--alphabet", "x,,y"], "bad-input", "''"),
     (["hall", "--k", "2", "--alphabet", "x,y]"], "bad-input", "'y]'"),
+    (["tau", "--k", "2", "--map", '{"genus":1,"images":{"a1":[[{"x":1},1]]}}'],
+     "unknown-generator", "{'x': 1}"),
+    (["scan", "--k", "2", "--map", '{"genus":1,"images":{}}',
+      "--lagrangians", '{"genus":1,"span":[[1,0]]}'],
+     "precondition-violation", "--lagrangians"),
 ])
 def test_refusal_names_its_input(capsys, argv, error, named):
     code, out, err = run(capsys, *argv)

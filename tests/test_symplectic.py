@@ -10,9 +10,10 @@ from hypothesis import given, strategies as st
 
 from lietau.errors import (GenusTooLargeError, NotDirectSummandError,
                            NotIsotropicError, PreconditionError)
-from lietau.intlinalg import charpoly, hermite_rows, identity_matrix, mat_mul
+from lietau.intlinalg import (charpoly, hermite_rows, identity_matrix,
+                              int_kernel_basis, mat_mul)
 from lietau.symplectic import (Lagrangian, _factor_reciprocal, _poly_str,
-                               adapt_symplectic_basis, eigen_pm1_condition,
+                               adapt_symplectic_basis, dual, eigen_pm1_condition,
                                gram_matrix, invariant_lagrangian_report,
                                invariant_lagrangian_search, is_invariant,
                                is_symplectic, omega)
@@ -42,6 +43,12 @@ def test_omega_basis_pairings():
 def test_omega_antisymmetric(u, v):
     assert omega(u, v) == -omega(v, u)
     assert omega(u, u) == 0
+
+
+@given(st.lists(st.integers(-5, 5), min_size=6, max_size=6),
+       st.lists(st.integers(-5, 5), min_size=6, max_size=6))
+def test_omega_is_dual_dot(u, v):
+    assert omega(u, v) == sum(a * b for a, b in zip(dual(u), v))
 
 
 def test_omega_dimension_mismatch():
@@ -153,6 +160,51 @@ def test_search_bound_counts_only_tested_candidates():
     assert rep.found is None
     assert rep.notes == ["candidate bound reached"]
     assert rep.candidates_tested == 1
+
+
+# rotation by a quarter turn in both handles: charpoly (x^2 + 1)^2
+QUARTER = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+# a quarter turn in the first handle, the identity in the second
+QUARTER_ONE = [[0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]
+
+
+def test_search_repeated_quadratic_factor():
+    rep = invariant_lagrangian_report(QUARTER)
+    assert rep.found is None
+    assert rep.rational_eigenvalues == []
+    assert rep.candidates_tested == 0
+    assert [(pc.factor, pc.value_str, pc.nonzero)
+            for pc in rep.pair_checks] == [("x**2 + 1", "2*z", True)]
+    assert not eigen_pm1_condition(QUARTER)
+
+
+def test_search_rational_and_quadratic_factors():
+    rep = invariant_lagrangian_report(QUARTER_ONE)
+    assert rep.found is None
+    assert rep.rational_eigenvalues == [1]
+    assert rep.candidates_tested == 2
+    assert [(pc.factor, pc.value_str, pc.nonzero)
+            for pc in rep.pair_checks] == [("x**2 + 1", "2*z", True)]
+    assert eigen_pm1_condition(QUARTER_ONE)
+
+
+def test_eigen_pm1_is_a_kernel_of_m_minus_plus_one():
+    # the characteristic polynomial at +-1 against the definition, and no
+    # factor of degree >= 2 anti-palindromic (each such would vanish at 1)
+    rng = random.Random(7)
+    seen = set()
+    for g in (1, 2, 3):
+        n = 2 * g
+        for _ in range(40):
+            m = _random_symplectic(g, rng)
+            shifted = [[[m[i][j] - s * (i == j) for j in range(n)]
+                        for i in range(n)] for s in (1, -1)]
+            expect = any(int_kernel_basis(t, n) for t in shifted)
+            assert eigen_pm1_condition(m) == expect
+            seen.add(expect)
+            for fc, _ in _factor_reciprocal(charpoly(m)):
+                assert len(fc) == 2 or fc != [-c for c in fc[::-1]]
+    assert seen == {False, True}
 
 
 def test_search_genus_cap():
