@@ -189,13 +189,16 @@ def cmd_region(args, cfg):
 
 
 def cmd_matrix_check(args, cfg):
+    from .intlinalg import charpoly
     from .symplectic import (eigen_pm1_condition, invariant_lagrangian_report,
                              is_symplectic)
     mat = serialize.parse_matrix(_read_json_arg(args.matrix))
     out = {"size": len(mat), "symplectic": is_symplectic(mat)}
     if out["symplectic"]:
-        out["eigen_pm1"] = eigen_pm1_condition(mat)
-        report = invariant_lagrangian_report(mat, args.bound)
+        # checked once: both readers take the one characteristic polynomial
+        poly = charpoly(mat)
+        out["eigen_pm1"] = eigen_pm1_condition(mat, poly=poly)
+        report = invariant_lagrangian_report(mat, args.bound, poly=poly)
         out["rational_eigenvalues"] = report.rational_eigenvalues
         out["candidates_tested"] = report.candidates_tested
         out["invariant_lagrangian"] = (

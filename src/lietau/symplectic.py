@@ -49,18 +49,27 @@ def is_symplectic(m):
     return [mat_vec(cols, dual(c)) for c in cols] == gram_matrix(n // 2)
 
 
-def eigen_pm1_condition(m):
+def _symplectic_charpoly(m, poly):
+    """charpoly(m), after checking that m is symplectic; a poly passed in
+    is taken as both, from a caller that has checked m itself."""
+    if poly is not None:
+        return poly
+    if not is_symplectic(m):
+        raise PreconditionError("matrix is not symplectic")
+    return charpoly(m)
+
+
+def eigen_pm1_condition(m, *, poly=None):
     """Necessary homology condition for extension: +1 or -1 is an eigenvalue.
 
     Any extension forces an invariant primitive vector with eigenvalue +-1 in
     genus one, so failing this certifies non-extension at the H_1 level.
+    A caller that has checked `is_symplectic(m)` may pass poly=charpoly(m).
     """
-    if not is_symplectic(m):
-        raise PreconditionError("matrix is not symplectic")
     # det(M -+ I) = 0 iff M -+ I has a nonzero integer kernel; the degree is
     # even, so p(1) and p(-1) are e + o and e - o for the sums e and o of
     # the coefficients at even and odd positions
-    p = charpoly(m)
+    p = _symplectic_charpoly(m, poly)
     even, odd = sum(p[::2]), sum(p[1::2])
     return even == -odd or even == odd
 
@@ -457,18 +466,20 @@ def invariant_lagrangian_search(m, bound=None):
     return invariant_lagrangian_report(m, bound).found
 
 
-def invariant_lagrangian_report(m, bound=None):
+def invariant_lagrangian_report(m, bound=None, *, poly=None):
+    """The search of `invariant_lagrangian_search`, with its counts, pair
+    certificates and notes.  A caller that has checked `is_symplectic(m)`
+    may pass poly=charpoly(m)."""
     if bound is not None and bound < 1:
         raise PreconditionError("bound must be >= 1")
-    if not is_symplectic(m):
-        raise PreconditionError("matrix is not symplectic")
+    poly = _symplectic_charpoly(m, poly)
     n = len(m)
     g = n // 2
     if g > 3:
         raise GenusTooLargeError("search supports genus <= 3, got %d" % g)
     report = SearchReport()
     option_sets = []   # per factor: list of (dim, rows)
-    for fc, mult in _factor_reciprocal(charpoly(m)):  # monic, highest first
+    for fc, mult in _factor_reciprocal(poly):  # monic, highest first
         # a rational eigenvalue offers every subset of the kernel basis of
         # each power of M - root; any other factor only its whole primary
         # component.  Kernel bases are Hermite rows, and so are their subsets.

@@ -4,15 +4,21 @@ A letter is a nonzero integer: ``+i`` is the i-th generator of the alphabet
 (1-based) and ``-i`` its inverse.  Words are always freely reduced; all
 values here are immutable and safe to share between threads.
 
-A `Word` keeps its reduced letters in one ``array('i')``, ``buf``, as codes:
+A `Word` keeps its reduced letters in one `array`, ``buf``, as codes:
 ``+i`` is stored as ``i-1`` and ``-i`` as ``~(i-1)``.  A code ``s`` is thus
-generator ``s`` if ``s >= 0`` and the inverse of generator ``~s`` otherwise,
-and inverting a letter maps its code ``s`` to ``~s``, which complements
-every byte of it, whatever the int width and byte order.  So the inverse of
-a word is its buffer reversed by a slice and passed once through
-`bytes.translate` with a complementing table, about 7 ns a letter in C.
-`Word.letters` decodes the buffer to a tuple of signed ints for I/O; the hot readers in
-other modules iterate ``buf``.
+generator ``s`` if ``s >= 0`` and the inverse of generator ``~s`` otherwise.
+The array's width comes from the alphabet (`Alphabet.typecode`): up to 128
+generators the codes run from -128 to 127 and fit ``array('b')``, one byte a
+letter, so every surface alphabet up to genus 64 stores a letter in one
+byte; larger alphabets store ``array('i')``, four bytes a letter.  All words
+over one alphabet share its width, so equal words have equal bytes.
+Inverting a letter maps its code ``s`` to ``~s``, which complements every
+byte of it, whatever the width and byte order.  So the inverse of a word is
+its buffer reversed by a slice and passed once through `bytes.translate`
+with a complementing table: 4.5 ns a letter at one byte, 10-14 ns at four
+(Python 3.11, 2-core VM).  `Word.letters` decodes the buffer to a tuple of
+signed ints for I/O; the hot readers in other modules iterate ``buf``,
+which reads the same ints at either width.
 
 Products and endomorphism images are built by appending reduced words to a
 reduced code array.  When both sides are reduced, all free cancellation
@@ -23,10 +29,11 @@ slices against the appended word's inverse and splices the rest in with one
 slice, so results come out reduced without a second pass and no letter is
 read in Python.  `apply` and `compose` invert an image once, the first
 time it is appended inverted or cancels at the junction; an image appended
-forward onto a letter it does not cancel is only copied.  Composing the
-words of the benchmark's two depth-3 genus-3 push braids (5.7M letters)
-takes 0.09-0.11 s (Python 3.11, 2-core VM).  Which readers build a
-composite mapping class's words is listed at `johnson.MappingClassData`.
+forward onto a letter it does not cancel is only copied.  Composing a
+depth-3 genus-3 push braid's words with themselves (2.7M letters out)
+takes 0.05-0.07 s at one byte a letter, against 0.07-0.12 s at four
+(same machine).  Which readers build a composite mapping class's words is
+listed at `johnson.MappingClassData`.
 `Word(alphabet, letters)` reduces and range-checks any letter sequence;
 `Word._reduced` trusts its buffer and is only fed results of `_append` on
 validated Words.
@@ -52,7 +59,7 @@ class Alphabet:
     order are different alphabets.
     """
 
-    __slots__ = ("names", "index")
+    __slots__ = ("names", "index", "typecode")
 
     def __init__(self, names):
         names = tuple(str(n) for n in names)
@@ -66,6 +73,9 @@ class Alphabet:
             raise ValueError("duplicate generator names: %r" % (names,))
         self.names = names
         self.index = {nm: i for i, nm in enumerate(names)}
+        # the array typecode of its words' codes (module docstring): the
+        # codes ~127..127 of 128 generators fit a signed byte
+        self.typecode = "b" if len(names) <= 128 else "i"
 
     def __len__(self):
         return len(self.names)
@@ -108,7 +118,7 @@ def surface_alphabet(genus):
 
 def _inverse(buf):
     """The code array of the inverse of the word with codes buf."""
-    out = array("i")
+    out = array(buf.typecode)
     out.frombytes(buf[::-1].tobytes().translate(_COMPLEMENT))
     return out
 
@@ -142,12 +152,13 @@ def _append(out, fwd, back):
     out.extend(fwd[c:] if c else fwd)
 
 
-def _substitute(images, inverses, codes):
-    """The reduced codes of the word with codes `codes`, each generator i
-    read as the Word images[i].  inverses caches {i: the codes of the inverse
-    of images[i]}; an image is inverted when first appended inverted, or
-    appended with its first letter cancelling against out's last."""
-    out = array("i")
+def _substitute(typecode, images, inverses, codes):
+    """The reduced codes, in an array of the given typecode, of the word
+    with codes `codes`, each generator i read as the Word images[i].
+    inverses caches {i: the codes of the inverse of images[i]}; an image is
+    inverted when first appended inverted, or appended with its first letter
+    cancelling against out's last."""
+    out = array(typecode)
     for s in codes:
         i = s if s >= 0 else ~s
         img = images[i].buf
@@ -189,7 +200,7 @@ class Word:
             raise UnknownGeneratorError("letter %d outside alphabet of size %d"
                                         % (hi + 1 if hi >= n else lo, n))
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "buf", array("i", codes))
+        object.__setattr__(self, "buf", array(alphabet.typecode, codes))
         object.__setattr__(self, "_hash", None)
 
     @classmethod
@@ -319,7 +330,8 @@ class GroupEndomorphism:
         if w.alphabet != self.alphabet:
             raise UnknownGeneratorError("word over a different alphabet")
         return Word._reduced(self.alphabet,
-                             _substitute(self.images, {}, w.buf))
+                             _substitute(self.alphabet.typecode, self.images,
+                                         {}, w.buf))
 
     def compose(self, other):
         """self after other: (self.compose(other))(w) == self(other(w))."""
@@ -328,7 +340,8 @@ class GroupEndomorphism:
         inverses = {}
         return GroupEndomorphism(self.alphabet, [
             Word._reduced(self.alphabet,
-                          _substitute(self.images, inverses, w.buf))
+                          _substitute(self.alphabet.typecode, self.images,
+                                      inverses, w.buf))
             for w in other.images])
 
     def __repr__(self):

@@ -87,10 +87,15 @@ def search_push_tuples_g2(model, maxlen, min_weight=2, cap=6, prune=True):
 
 
 class Braid:
-    """A mapping class carried together with its exact inverse."""
+    """A mapping class carried together with its exact inverse.
+
+    The pair is not checked here: the words of fwd o bwd grow exponentially
+    with commutator weight.  An elementary pair comes from
+    `invert_elementary`, which checks both orders on words, and a product
+    pairs x y with y^-1 x^-1, which is exact when its factors are.
+    """
 
     def __init__(self, fwd, bwd):
-        assert fwd.compose(bwd).endo == GroupEndomorphism.identity(fwd.model.alphabet)
         self.fwd = fwd
         self.bwd = bwd
 

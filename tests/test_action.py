@@ -97,6 +97,16 @@ def test_braid_commutators_agree(g3_braids):
             _assert_routes_agree(f, k)
 
 
+def test_braid_products_carry_exact_inverses(model_of, g3_braids):
+    # braidgen pairs a product x y with y^-1 x^-1 unchecked; check that on
+    # the words of the commutators the tests use
+    ident = GroupEndomorphism.identity(model_of(3).alphabet)
+    for name in ("c", "d"):
+        braid = g3_braids[name]
+        assert braid.fwd.compose(braid.bwd).endo == ident
+        assert braid.bwd.compose(braid.fwd).endo == ident
+
+
 def _twist(model, name, by):
     """The Dehn twist sending one generator x to x * by."""
     x = model.alphabet.generator(name)

@@ -218,6 +218,29 @@ def test_matrix_check_golden(capsys, name):
     assert code == 0 and out == expect
 
 
+def test_matrix_check_reads_the_matrix_once(capsys, monkeypatch):
+    from lietau import intlinalg, symplectic
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(symplectic, "is_symplectic",
+                        counted("is_symplectic", symplectic.is_symplectic))
+    for mod in (intlinalg, symplectic):
+        monkeypatch.setattr(mod, "charpoly",
+                            counted("charpoly", intlinalg.charpoly))
+    for name in ("mixed", "unipotent"):
+        matrix, expect = MATRIX_GOLDENS[name]
+        calls.clear()
+        code, out, _ = run(capsys, "matrix-check", "--matrix", matrix)
+        assert code == 0 and out == expect
+        assert sorted(calls) == ["charpoly", "is_symplectic"]
+
+
 def test_matrix_check_golden_without_sympy():
     script = ("import sys; sys.modules['sympy'] = None\n"
               "from lietau.cli import main; sys.exit(main(sys.argv[1:]))")

@@ -145,7 +145,6 @@ def reference_apply(images, letters):
 
 
 AB4 = Alphabet(["p", "q", "r", "s"])
-AB4_LETTERS = [Word(AB4, (i + 1,)) for i in range(4)]
 
 
 def random_reduced(rng, length, alphabet=AB4, pool=None):
@@ -210,23 +209,36 @@ def test_kernel_matches_reference_route():
         check_compose_against_reference(phi, psi, range(1, len(AB4) + 1))
 
 
-# Codes of generators 256 and up fill more than one byte of the stored int
-# and those of 65536 and up three; the codes of inverse letters set all four.
-# The pool sits at both ends of each byte boundary.
+# Alphabets of up to 128 generators store one signed byte a letter, larger
+# ones a 4-byte int (words.py).  Over WIDE, codes of generators 256 and up
+# fill more than one byte of the int and those of 65536 and up three; the
+# codes of inverse letters set all four.  Each pool sits at both ends of a
+# byte boundary: the last byte-wide alphabet, the genus-64 surface, reaches
+# the codes 127 and ~127 = -128, and the first int-wide one the code 128.
+BYTE_EDGE = surface_alphabet(64)
+PAST_BYTE_EDGE = Alphabet(["g%d" % i for i in range(1, 130)])
 WIDE = Alphabet(["g%d" % i for i in range(1, 70001)])
 WIDE_POOL = (1, 2, 255, 256, 257, 65535, 65536, 65537, 69999, 70000)
 
 
 def test_kernel_matches_reference_route_on_a_wide_alphabet():
-    rng = random.Random(8)
-    phi, psi = (random_endo(rng, WIDE, WIDE_POOL) for _ in range(2))
-    for _ in range(300):
-        check_against_reference(rng, phi if rng.random() < 0.5 else psi,
-                                WIDE, WIDE_POOL)
-    # the images of the pool, and two that both maps fix
-    check_compose_against_reference(phi, psi, WIDE_POOL + (3, 40000))
-    with pytest.raises(UnknownGeneratorError):
-        Word(WIDE, (70001,))
+    for alphabet, pool, itemsize, seed in (
+            (BYTE_EDGE, (1, 2, 127, 128), 1, 10),
+            (PAST_BYTE_EDGE, (1, 128, 129), 4, 11),
+            (WIDE, WIDE_POOL, 4, 8)):
+        rng = random.Random(seed)
+        phi, psi = (random_endo(rng, alphabet, pool) for _ in range(2))
+        for _ in range(300):
+            check_against_reference(rng, phi if rng.random() < 0.5 else psi,
+                                    alphabet, pool)
+        # the images of the pool, and two that both maps fix
+        check_compose_against_reference(phi, psi, pool + (3, len(alphabet) - 3))
+        both = phi.compose(psi)
+        assert all(w.buf.itemsize == itemsize
+                   for w in phi.images + psi.images + both.images)
+        for x in (len(alphabet) + 1, -len(alphabet) - 1):
+            with pytest.raises(UnknownGeneratorError):
+                Word(alphabet, (x,))
 
 
 def test_kernel_on_a_long_word():
@@ -326,20 +338,30 @@ def test_conjugations_compose_to_identity():
 
 
 def test_equal_words_hash_equal_from_every_constructor():
-    rng = random.Random(9)
+    for alphabet, seed in ((AB4, 9), (BYTE_EDGE, 12), (PAST_BYTE_EDGE, 13)):
+        check_equal_words_hash_equal(alphabet, random.Random(seed))
+
+
+def check_equal_words_hash_equal(alphabet, rng):
+    n = len(alphabet)
+    # p is the first generator and q the last, whose inverse letter -n has
+    # the code -128 at the byte edge
+    p, q = Word(alphabet, (1,)), Word(alphabet, (n,))
+    pool = (1, 2, n - 1, n)
     for _ in range(50):
-        w = random_reduced(rng, rng.randint(0, 25))
-        u = random_reduced(rng, rng.randint(0, 10))
-        # p -> w, q -> u^-1, r and s fixed
-        p, q, r, s = AB4_LETTERS
-        phi = GroupEndomorphism(AB4, [w, ~u, r, s])
-        ident = GroupEndomorphism.identity(AB4)
+        w = random_reduced(rng, rng.randint(0, 25), alphabet, pool)
+        u = random_reduced(rng, rng.randint(0, 10), alphabet, pool)
+        # p -> w, q -> u^-1, every other generator fixed
+        ident = GroupEndomorphism.identity(alphabet)
+        images = list(ident.images)
+        images[0], images[-1] = w, ~u
+        phi = GroupEndomorphism(alphabet, images)
         built = [
-            Word(AB4, w.letters),
-            Word(AB4, u.letters + reference_inverse(u.letters) + w.letters),
+            Word(alphabet, w.letters),
+            Word(alphabet, u.letters + reference_inverse(u.letters) + w.letters),
             w * u * ~u,
             (w * u) * ~u,
-            ~Word(AB4, reference_inverse(w.letters)),
+            ~Word(alphabet, reference_inverse(w.letters)),
             ~~w,
             phi.apply(p),
             ~u * phi.apply(~q * p * q) * u,
@@ -348,6 +370,7 @@ def test_equal_words_hash_equal_from_every_constructor():
         ]
         for v in built:
             assert v == w and hash(v) == hash(w)
+            assert v.buf.itemsize == w.buf.itemsize
             assert type(v.letters) is tuple and v.letters == w.letters
             assert all(type(x) is int for x in v.letters)
         assert len(set(built)) == 1
