@@ -15,15 +15,26 @@ coordinates of v are its image pi(v) = sum_i omega(x_i, v) b_i in H/L, and
 the x-free part of a substitution is the substitution by the images' y-parts
 alone.  And the symplectic class is sum_i [x_i, y_i] in any adapted basis,
 so every term of every element of its ideal has an x-letter: reducing modulo
-the ideal moves positive grades only.  `_handlebody_image` therefore applies
-pi to every tensor index and every leaf of the reduced value and stops there;
-`grade_decompose` keeps the full split, which the CLI prints.
+the ideal moves positive grades only.  So the grade-0 component is pi
+applied to the tensor index and every leaf of the reduced value.
+
+Nor does it need Hall rewriting.  The free Lie ring over Z embeds in the
+free associative ring ([u, v] -> uv - vu, as `magnus` also relies on), and
+pi commutes with that embedding, so the image dies exactly when pi kills the
+value's tensor expansion {(m, i_1, ..., i_k): c}.  A scan expands the value
+once and applies pi to every slot of it for each Lagrangian;
+`grade_decompose` keeps the full split in Hall coordinates, which the CLI
+prints.
 """
+
+from functools import lru_cache
+from itertools import product
+from math import prod
 
 from .errors import DimensionMismatchError, PreconditionError
 from .hall import HallTree
 from .johnson import TauValue, tau
-from .lie import LieElement, substitute, x_count_split
+from .lie import LieElement, expand_associative, substitute, x_count_split
 from .symplectic import Lagrangian, adapt_symplectic_basis, dual
 
 
@@ -73,7 +84,7 @@ def grade_decompose(value, lagrangian):
     cols = list(zip(*adapt_symplectic_basis(lagrangian)))  # x_i, then y_i
     coords = ([[-v for v in dual(y)] for y in cols[g:]]
               + [dual(x) for x in cols[:g]])
-    total = _change_letters(value, coords, 0).renormalize()
+    total = _change_letters(value, coords).renormalize()
     components = {}
     for m, e in total.terms.items():
         base = 1 if m < g else 0
@@ -86,19 +97,10 @@ def grade_decompose(value, lagrangian):
     return GradedDecomposition(model, value.k, components, total)
 
 
-def _handlebody_image(value, lagrangian):
-    """The image of a surface-reduced value under pi: H -> H/L, written in the
-    letters b_i = y_i (index g + i); term for term it is
-    `grade_decompose(value, lagrangian).component(0)`."""
-    _check_reduced(value, lagrangian)
-    return _change_letters(value, [dual(x) for x in lagrangian.rows],
-                           lagrangian.genus)
-
-
-def _change_letters(value, rows, first):
+def _change_letters(value, rows):
     """The value with its tensor index and every leaf m replaced by
-    sum_j rows[j][m] letter(first + j)."""
-    leaves = [HallTree.make_leaf(first + j) for j in range(len(rows))]
+    sum_j rows[j][m] letter(j)."""
+    leaves = [HallTree.make_leaf(j) for j in range(len(rows))]
     images = [LieElement(1, zip(leaves, col)) for col in zip(*rows)]
     terms = {}
     for m, e in value.terms.items():
@@ -110,8 +112,8 @@ def _change_letters(value, rows, first):
             continue
         for j, c in enumerate(col):
             if c:
-                terms[first + j] = (terms[first + j] + sub.scale(c)
-                                    if first + j in terms else sub.scale(c))
+                terms[j] = (terms[j] + sub.scale(c) if j in terms
+                            else sub.scale(c))
     return TauValue(value.model, value.k, False, terms)
 
 
@@ -126,7 +128,41 @@ def obstruction_vanishes(f, k, lagrangian):
 
 
 def value_obstruction_vanishes(value, lagrangian):
-    return _handlebody_image(value, lagrangian).is_zero()
+    _check_reduced(value, lagrangian)
+    return _image_vanishes(_tensor_expansion(value), lagrangian)
+
+
+def _tensor_expansion(value):
+    """The value in the tensor algebra: {(m, i_1, ..., i_k): c} for the
+    tensor index m and the monomials of each Hall tree's expansion."""
+    out = {}
+    for m, e in value.terms.items():
+        for t, c in e.terms.items():
+            for mono, d in expand_associative(t).items():
+                key = (m,) + mono
+                out[key] = out.get(key, 0) + c * d
+    return {key: c for key, c in out.items() if c}
+
+
+def _image_vanishes(expansion, lagrangian):
+    """True iff pi: H -> H/L, letter l -> sum_i dual(x_i)[l] b_i, applied to
+    every slot kills the expansion.  A monomial maps to the sum, over every
+    choice of one term from each of its letters' images, of the product; one
+    with a letter in L, whose image is empty, maps to zero and is skipped up
+    front."""
+    covectors = [dual(x) for x in lagrangian.rows]
+    index, coeff = [], []
+    for l in range(2 * lagrangian.genus):
+        index.append([i for i, cov in enumerate(covectors) if cov[l]])
+        coeff.append([cov[l] for cov in covectors if cov[l]])
+    dead = {l for l, ii in enumerate(index) if not ii}
+    image = {}
+    for key, c in expansion.items():
+        if dead.isdisjoint(key):
+            for new, ds in zip(product(*map(index.__getitem__, key)),
+                               product(*map(coeff.__getitem__, key))):
+                image[new] = image.get(new, 0) + c * prod(ds)
+    return not any(image.values())
 
 
 class ScanReport:
@@ -177,11 +213,17 @@ def perturbed_lagrangians(g, height):
     return out
 
 
+@lru_cache(maxsize=None)
+def _base_family(g, height):
+    """The coordinate and perturbed Lagrangians: they depend only on
+    (g, height), so each is built once."""
+    return tuple(coordinate_lagrangians(g) + perturbed_lagrangians(g, height))
+
+
 def scan_family(g, height=2, extra=()):
     seen = set()
     family = []
-    for lag in (list(coordinate_lagrangians(g))
-                + perturbed_lagrangians(g, height) + list(extra)):
+    for lag in _base_family(g, height) + tuple(extra):
         if lag.rows not in seen:
             seen.add(lag.rows)
             family.append(lag)
@@ -197,7 +239,8 @@ def robustness_scan(f, k, lagrangians=None, height=2):
     """
     value = tau(f, k)
     family = scan_family(f.model.genus, height, lagrangians or ())
-    results = []
     for lag in family:
-        results.append((lag, value_obstruction_vanishes(value, lag)))
-    return ScanReport(k, results)
+        _check_reduced(value, lag)
+    expansion = _tensor_expansion(value)
+    return ScanReport(k, [(lag, _image_vanishes(expansion, lag))
+                          for lag in family])

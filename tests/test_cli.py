@@ -137,6 +137,43 @@ def test_scan_identity(capsys):
     assert len(data["vanishing"]) == 4
 
 
+# stdout of a k = 3 scan of the twist cutting off handle 1 (a1 and b1
+# conjugated by [a1, b1]): the genus-2 family at height 2 plus one graph
+# Lagrangian outside it
+SCAN_MAP = ('{"genus":2,"images":{"a1":"a1 b1 a1^-1 b1^-1 a1 b1 a1 b1^-1 a1^-1",'
+            '"b1":"a1 b1 a1^-1 b1 a1 b1^-1 a1^-1"}}')
+SCAN_EXTRA = '[{"genus":2,"span":[[1,0,3,1],[0,1,1,-2]]}]'
+SCAN_GOLDEN = (
+    '{"k": 3, "nonvanishing_count": 7, "scanned": 27, "vanishing": ['
+    '{"genus": 2, "span": [[1, 0, 0, 0], [0, 1, 0, 0]]}'
+    ', {"genus": 2, "span": [[0, 1, 0, 0], [0, 0, 1, 0]]}'
+    ', {"genus": 2, "span": [[1, 0, 0, 0], [0, 0, 0, 1]]}'
+    ', {"genus": 2, "span": [[0, 0, 1, 0], [0, 0, 0, 1]]}'
+    ', {"genus": 2, "span": [[1, 0, 2, 0], [0, 1, 0, 0]]}'
+    ', {"genus": 2, "span": [[2, 0, 1, 0], [0, 0, 0, 1]]}'
+    ', {"genus": 2, "span": [[1, 0, -2, 0], [0, 1, 0, 0]]}'
+    ', {"genus": 2, "span": [[2, 0, -1, 0], [0, 0, 0, 1]]}'
+    ', {"genus": 2, "span": [[1, 0, 4, 0], [0, 1, 0, 0]]}'
+    ', {"genus": 2, "span": [[4, 0, 1, 0], [0, 0, 0, 1]]}'
+    ', {"genus": 2, "span": [[1, 0, -4, 0], [0, 1, 0, 0]]}'
+    ', {"genus": 2, "span": [[4, 0, -1, 0], [0, 0, 0, 1]]}'
+    ', {"genus": 2, "span": [[1, 0, 0, 0], [0, 1, 0, 2]]}'
+    ', {"genus": 2, "span": [[0, 2, 0, 1], [0, 0, 1, 0]]}'
+    ', {"genus": 2, "span": [[1, 0, 0, 0], [0, 1, 0, -2]]}'
+    ', {"genus": 2, "span": [[0, 2, 0, -1], [0, 0, 1, 0]]}'
+    ', {"genus": 2, "span": [[1, 0, 0, 0], [0, 1, 0, 4]]}'
+    ', {"genus": 2, "span": [[0, 4, 0, 1], [0, 0, 1, 0]]}'
+    ', {"genus": 2, "span": [[1, 0, 0, 0], [0, 1, 0, -4]]}'
+    ', {"genus": 2, "span": [[0, 4, 0, -1], [0, 0, 1, 0]]}]}'
+    '\n')
+
+
+def test_scan_golden(capsys):
+    code, out, _ = run(capsys, "scan", "--k", "3", "--map", SCAN_MAP,
+                       "--height", "2", "--lagrangians", SCAN_EXTRA)
+    assert code == 0 and out == SCAN_GOLDEN
+
+
 def test_matrix_check_trefoil(capsys):
     code, out, _ = run(capsys, "matrix-check", "--matrix", "[[0,-1],[1,1]]")
     assert code == 0

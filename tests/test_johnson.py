@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from braidgen import reduced_b_words, search_push_tuples_g2
+from braidgen import (commutator_braid, reduced_b_words,
+                      search_push_tuples_g2)
 from liegen import random_like
 from lietau.errors import (DepthTooShallowError, PreconditionError,
                            RelationViolatedError, WeightTooLowError)
@@ -285,6 +286,32 @@ def test_tau1_compatible_with_tau(model_of, g3_braids):
     t = boundary_twist(m)
     for f in (d.fwd, t, t.compose(d.fwd)):
         assert tau1(f, 3).renormalize() == tau(f, 3)
+
+
+def _contraction(value):
+    """The bracket H (x) L_k -> L_{k+1}: sum_j [x_j, terms[j]]."""
+    out = LieElement.zero(value.k + 1)
+    for j, e in value.terms.items():
+        out = out + bracket(LieElement.generator(j), e)
+    return out
+
+
+def test_tau1_lies_in_the_bracket_kernel(model_of, g3_braids):
+    # the derivation condition D(omega) = 0 (Morita 1993): a Johnson value
+    # with free coefficients is killed by the bracket, and doubling any one
+    # of its terms breaks that
+    t2, t3 = boundary_twist(model_of(2)), boundary_twist(model_of(3))
+    c, d = g3_braids["c"].fwd, g3_braids["d"].fwd
+    d_a23 = commutator_braid(g3_braids["d"], g3_braids["b23"]).fwd
+    cases = [(t2, 3), (t3, 3), (c, 2), (d, 3), (d_a23, 4),
+             (d.compose(d), 3), (t3.compose(d), 3)]
+    for f, k in cases:
+        value = tau1(f, k)
+        assert value.terms and _contraction(value).is_zero()
+        for j, e in value.terms.items():
+            doubled = TauValue(value.model, k, True,
+                               {**value.terms, j: e.scale(2)})
+            assert not _contraction(doubled).is_zero()
 
 
 def test_jprime_at_least_johnson(model_of, g3_braids):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from braidgen import commutator_braid
 from liegen import random_like
 
 from lietau.errors import DimensionMismatchError, PreconditionError
@@ -9,7 +10,7 @@ from lietau.intlinalg import identity_matrix, mat_mul
 from lietau.johnson import (TauValue, boundary_twist, identity_mapping_class,
                             tau, tau1)
 from lietau.lie import LieElement, bracket, substitute, x_count_split
-from lietau.obstruction import (_handlebody_image, coordinate_lagrangians, grade_decompose,
+from lietau.obstruction import (coordinate_lagrangians, grade_decompose,
                                 obstruction_vanishes, perturbed_lagrangians,
                                 robustness_scan, scan_family,
                                 value_obstruction_vanishes)
@@ -193,7 +194,7 @@ def test_lagrangian_of_another_genus_is_refused(model_of):
         with pytest.raises(DimensionMismatchError):
             grade_decompose(value, lag)
         with pytest.raises(DimensionMismatchError):
-            _handlebody_image(value, lag)
+            value_obstruction_vanishes(value, lag)
         with pytest.raises(DimensionMismatchError):
             obstruction_vanishes(f, 2, lag)
         with pytest.raises(DimensionMismatchError):
@@ -245,8 +246,8 @@ def _image_values(model, g3_braids, rng):
 
 @pytest.mark.parametrize("g", [2, 3])
 def test_handlebody_image_is_grade_zero(model_of, g3_braids, g):
-    # the image in H/L is the grade-0 component of the full decomposition,
-    # term for term, and it decides the obstruction
+    # the image in H/L, read from the tensor expansion, dies exactly when
+    # the grade-0 component of the full decomposition does
     rng = random.Random(1700 + g)
     lags = scan_family(g, 2) + [
         graph_lagrangian(g, [rng.randint(-3, 3) for _ in range(g * (g + 1) // 2)])
@@ -254,11 +255,30 @@ def test_handlebody_image_is_grade_zero(model_of, g3_braids, g):
     seen = set()
     for value in _image_values(model_of(g), g3_braids, rng):
         for lag in lags:
-            image = _handlebody_image(value, lag)
-            assert image == grade_decompose(value, lag).component(0)
-            assert value_obstruction_vanishes(value, lag) == image.is_zero()
-            seen.add(image.is_zero())
+            vanishes = value_obstruction_vanishes(value, lag)
+            assert vanishes == grade_decompose(value, lag).component(0).is_zero()
+            seen.add(vanishes)
     assert seen == {True, False}
+
+
+def test_scan_matches_grade_split(g3_braids):
+    # a scan's vanishing list is exactly the Lagrangians whose grade-0
+    # component is zero, so a decision that always (or never) vanishes fails
+    d, b23 = g3_braids["d"], g3_braids["b23"]
+    rng = random.Random(2208)
+    extra = [graph_lagrangian(3, [rng.choice((-3, 3)) if i in (0, 3, 5)
+                                  else rng.randint(-2, 2) for i in range(6)])
+             for _ in range(4)]
+    family = scan_family(3, 3)
+    assert len(family) == 80
+    for f, k in ((d.fwd, 3), (commutator_braid(d, b23).fwd, 4)):
+        value = tau(f, k)
+        rep = robustness_scan(f, k, lagrangians=extra, height=3)
+        assert [lag for lag, _ in rep.results] == family + extra
+        assert rep.vanishing == [
+            lag for lag in family + extra
+            if grade_decompose(value, lag).component(0).is_zero()]
+        assert sum(v for _, v in rep.results[:80]) == 43
 
 
 # model_of hands out the session's shared models, so it holds no state
@@ -276,6 +296,5 @@ def test_handlebody_image_on_graph_lagrangians(model_of, g_sym, k, seed):
     value = TauValue(model_of(g), k, False, {
         m: random_like(k, 2 * g, rng) for m in rng.sample(range(2 * g), 2)
     }).renormalize()
-    image = _handlebody_image(value, lag)
-    assert image == grade_decompose(value, lag).component(0)
-    assert value_obstruction_vanishes(value, lag) == image.is_zero()
+    assert (value_obstruction_vanishes(value, lag)
+            == grade_decompose(value, lag).component(0).is_zero())
