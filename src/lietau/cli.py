@@ -5,8 +5,8 @@ Exit status 0 on success, 1 on a domain or input error (one machine-readable
 error object goes to stderr), 2 on usage errors.
 
 Each subcommand imports the layers it uses when it runs, so a cold call
-pays only for those: `witt`, `hall`, `region` and `rank --ring free` never
-load the Magnus, ideal, Johnson or symplectic layers.
+pays only for those: `witt`, `hall`, `region` and `rank` over the free and
+handlebody rings never load the Magnus, ideal, Johnson or symplectic layers.
 """
 
 import argparse
@@ -97,16 +97,18 @@ def cmd_hall(args, cfg):
 
 
 def cmd_rank(args, cfg):
-    if args.ring == "free":
+    if args.ring != "surface":
         from .hall import witt
         if args.genus < 1:  # as SurfaceModel refuses it
             raise ValueError("genus must be >= 1")
-        rank, torsion = witt(args.k, 2 * args.genus), ()
+        # the handlebody ideal, generated by a1..ag, is the kernel of killing
+        # those letters: in Hall coordinates the span of the trees with an
+        # a-leaf, so the quotient is the free Lie ring on b1..bg
+        n = 2 * args.genus if args.ring == "free" else args.genus
+        rank, torsion = witt(args.k, n), ()
     else:
         from .surface import SurfaceModel
-        model = SurfaceModel(args.genus)
-        ideal = (model.symplectic_ideal() if args.ring == "surface"
-                 else model.handlebody_ideal())
+        ideal = SurfaceModel(args.genus).symplectic_ideal()
         rank, torsion = ideal.quotient_rank(args.k), ideal.level(args.k).torsion
     out = {"ring": args.ring, "k": args.k, "genus": args.genus, "rank": rank,
            "torsion": list(torsion)}

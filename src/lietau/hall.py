@@ -1,11 +1,14 @@
 """Hall basic-commutator trees and the Witt rank formula.
 
-Trees are interned, so structural equality is identity and they hash fast.
-Leaves hold 0-based indices into an ordered alphabet.  The total order on
-trees is weight first, then a lexicographic comparison of a flattened
-structure code with leaves ordered by the alphabet; any such order yields a
-valid basic-commutator family, and fixing this one makes every basis and
-every rewriting deterministic.
+Trees are interned, keyed by their child pair, so structural equality is
+identity and they hash fast; trees of equal multidegree share one `mdeg`
+tuple.  Leaves hold 0-based indices into an ordered alphabet.  The total
+order on trees is weight first, then the leaf sequence (the foliage),
+compared lexicographically with leaves ordered by the alphabet: a tree's
+`key` is ``(weight,) + leaves``.  Any such order yields a valid
+basic-commutator family, and fixing this one makes every basis and every
+rewriting deterministic.  Distinct basic commutators of one weight have
+distinct foliage, so the order is total on them.
 """
 
 import threading
@@ -17,7 +20,8 @@ class HallTree:
 
     __slots__ = ("leaf", "left", "right", "weight", "key", "mdeg")
 
-    _registry = {}
+    _registry = {}      # ("L", i) or the child pair -> the one tree
+    _mdegs = {}         # multidegree -> the one tuple its trees share
     _lock = threading.Lock()
 
     def __init__(self, *, _token=None, leaf=None, left=None, right=None):
@@ -28,12 +32,14 @@ class HallTree:
         object.__setattr__(self, "right", right)
         if leaf is not None:
             w = 1
-            key = (1, 0, leaf)
+            key = (1, leaf)
             mdeg = (leaf,)
         else:
             w = left.weight + right.weight
             key = (w,) + left.key[1:] + right.key[1:]
             mdeg = tuple(sorted(left.mdeg + right.mdeg))
+        # make_leaf and make_node hold the lock here
+        mdeg = HallTree._mdegs.setdefault(mdeg, mdeg)
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "mdeg", mdeg)
@@ -60,7 +66,7 @@ class HallTree:
     @staticmethod
     def make_node(left, right):
         reg = HallTree._registry
-        tok = (id(left), id(right))
+        tok = (left, right)
         t = reg.get(tok)
         if t is None:
             with HallTree._lock:

@@ -72,15 +72,18 @@ class QuotientClass:
 
 
 class _Level:
-    __slots__ = ("vectors", "lifts", "blocks", "columns", "lattices", "members",
-                 "tracked", "rank", "torsion")
+    __slots__ = ("vectors", "lifts", "keys", "blocks", "columns", "lattices",
+                 "members", "tracked", "rank", "torsion")
 
     def __init__(self):
         self.vectors = []       # LieElement, an independent set
         self.lifts = []         # per vector: lift Word, or the recipe
                                 # (parent tag one weight down, letter index)
+        self.keys = {}          # multidegree -> its block key, stored once
+                                # for all the trees of that multidegree
         self.blocks = {}        # block key -> its basic commutators, Hall order
-        self.columns = {}       # basic commutator -> (block key, column)
+        self.columns = {}       # basic commutator -> its column in its block,
+                                # the block being keys[tree.mdeg]
         self.lattices = {}      # block key -> IntLattice over that block
         self.members = {}       # block key -> tags of the vectors that
                                 # changed its lattice, ascending
@@ -136,14 +139,14 @@ class GradedIdeal:
 
     def _build_level(self, k):
         lv = _Level()
-        keys = {}               # multidegree -> block key
+        keys = lv.keys
         for t in hall_basis(k, self.n):
             key = keys.get(t.mdeg)
             if key is None:
                 key = keys[t.mdeg] = tuple(self._grading.reduce_mod(
                     _leaf_counts(t, self.n)))
             block = lv.blocks.setdefault(key, [])
-            lv.columns[t] = key, len(block)
+            lv.columns[t] = len(block)
             block.append(t)
         saturated = set()       # block keys whose lattice is all of Z^N
         for e, lift in self.generators:
@@ -158,7 +161,7 @@ class GradedIdeal:
             leaves = [HallTree.make_leaf(i) for i in range(self.n)]
             targets = {}        # (block key one weight down, letter) -> key
             for tag, v in enumerate(prev.vectors):
-                src = prev.columns[next(iter(v.terms))][0]
+                src = prev.keys[next(iter(v.terms)).mdeg]
                 for i, leaf in enumerate(leaves):
                     key = targets.get((src, i))
                     if key is None:
@@ -173,7 +176,7 @@ class GradedIdeal:
                     vec = {}
                     for u, c in v.terms.items():
                         for t, d in _bracket_trees(u, leaf).items():
-                            j = columns[t][1]
+                            j = columns[t]
                             val = vec.get(j, 0) + c * d
                             if val:
                                 vec[j] = val
@@ -205,7 +208,8 @@ class GradedIdeal:
         """e's coordinates block by block: {block key: {column: coeff}}."""
         out = {}
         for t, c in e.terms.items():
-            key, i = lv.columns[t]
+            key = lv.keys[t.mdeg]
+            i = lv.columns[t]
             vec = out.get(key)
             if vec is None:
                 vec = out[key] = {}

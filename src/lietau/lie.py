@@ -9,7 +9,9 @@ pair [w1, w2] = [[v1, v2], w2] violates the basis condition (v2 > w2) apply
 
 and recurse.  Each recursive call strictly decreases the well-founded measure
 (total weight, weight of the smaller argument, its rank within that weight),
-so the rewriting terminates; results are memoized per tree pair.
+so the rewriting terminates.  Only the pairs that need the Jacobi rewrite are
+memoized: a pair in Hall order is one interned node, and a reversed pair is
+the negation of its flip, both recomputed in one step.
 """
 
 import threading
@@ -120,28 +122,29 @@ _bracket_lock = threading.Lock()
 
 
 def _bracket_trees(u, v):
-    """[u, v] for basic commutators u, v, as a {tree: coeff} map."""
+    """[u, v] for basic commutators u, v, as a {tree: coeff} map.
+
+    The caller must not mutate the map: a rewritten pair's is memoized."""
     if u is v:
         return {}
+    if u.key < v.key:
+        return {t: -c for t, c in _bracket_trees(v, u).items()}
+    if u.leaf is not None or u.right.key <= v.key:
+        return {HallTree.make_node(u, v): 1}
     key = (u, v)
     hit = _bracket_memo.get(key)
     if hit is not None:
         return hit
-    if u.key < v.key:
-        res = {t: -c for t, c in _bracket_trees(v, u).items()}
-    elif u.is_leaf() or u.right.key <= v.key:
-        res = {HallTree.make_node(u, v): 1}
-    else:
-        # u = [v1, v2] with v2 > v: Jacobi rearrangement, then recurse.
-        v1, v2 = u.left, u.right
-        res = {}
-        for h, c in _bracket_trees(v1, v).items():
-            for t, d in _bracket_trees(h, v2).items():
-                res[t] = res.get(t, 0) + c * d
-        for h, c in _bracket_trees(v2, v).items():
-            for t, d in _bracket_trees(v1, h).items():
-                res[t] = res.get(t, 0) + c * d
-        res = {t: c for t, c in res.items() if c}
+    # u = [v1, v2] with v2 > v: Jacobi rearrangement, then recurse.
+    v1, v2 = u.left, u.right
+    res = {}
+    for h, c in _bracket_trees(v1, v).items():
+        for t, d in _bracket_trees(h, v2).items():
+            res[t] = res.get(t, 0) + c * d
+    for h, c in _bracket_trees(v2, v).items():
+        for t, d in _bracket_trees(v1, h).items():
+            res[t] = res.get(t, 0) + c * d
+    res = {t: c for t, c in res.items() if c}
     with _bracket_lock:
         _bracket_memo[key] = res
     return res

@@ -1,3 +1,7 @@
+import random
+import sys
+import threading
+
 import pytest
 
 from lietau.hall import (HallTree, basis_block, enumerate_trees, hall_basis,
@@ -130,6 +134,86 @@ def test_interning_identity():
     t1 = HallTree.make_node(HallTree.make_leaf(1), HallTree.make_leaf(0))
     t2 = HallTree.make_node(HallTree.make_leaf(1), HallTree.make_leaf(0))
     assert t1 is t2
+    # nodes are interned by their child pair
+    rng = random.Random(5)
+    for n in range(1, 5):
+        for k in range(2, 7):
+            for t in hall_basis(k, n):
+                assert HallTree.make_node(t.left, t.right) is t
+        trees = [t for k in range(1, 4) for t in hall_basis(k, n)]
+        for _ in range(50):
+            u, v = rng.choice(trees), rng.choice(trees)
+            assert HallTree.make_node(u, v) is HallTree.make_node(u, v)
+
+
+def _old_key(t):
+    """The order's earlier encoding, a 0 before every leaf: (w, 0, i1, 0, i2, ...)."""
+    if t.is_leaf():
+        return (1, 0, t.leaf)
+    return (t.weight,) + _old_key(t.left)[1:] + _old_key(t.right)[1:]
+
+
+def _foliage(t):
+    return (t.leaf,) if t.is_leaf() else _foliage(t.left) + _foliage(t.right)
+
+
+def test_key_is_weight_then_foliage_in_the_old_order():
+    for n in range(1, 5):
+        trees = []
+        for k in range(1, 7):
+            basis = hall_basis(k, n)
+            assert all(t.key == (k,) + _foliage(t) for t in basis)
+            # the foliage identifies a basic commutator
+            assert len({t.key for t in basis}) == len(basis)
+            trees.extend(basis)
+        # the same total order, within a weight and across weights
+        assert (sorted(trees, key=lambda t: t.key)
+                == sorted(trees, key=_old_key) == trees)
+
+
+def test_equal_multidegrees_share_one_tuple():
+    for n in range(1, 5):
+        for k in range(1, 7):
+            shared = {}
+            for t in hall_basis(k, n):
+                assert t.mdeg == tuple(sorted(_foliage(t)))
+                assert shared.setdefault(t.mdeg, t.mdeg) is t.mdeg
+    # a non-basic tree shares its multidegree's tuple too
+    x, y = HallTree.make_leaf(0), HallTree.make_leaf(1)
+    basic = HallTree.make_node(HallTree.make_node(y, x), x)
+    other = HallTree.make_node(x, HallTree.make_node(x, y))
+    assert other.mdeg is basic.mdeg == (0, 0, 1)
+
+
+def test_interning_from_threads_is_identical():
+    # leaves 40..43 appear in no other test, so the threads race to make
+    # every node and to intern every multidegree
+    leaves = [HallTree.make_leaf(i) for i in range(40, 44)]
+    pairs = [(u, v) for u in leaves for v in leaves]
+    start = threading.Barrier(4)
+    made = [None] * 4
+
+    def build(i):
+        start.wait()
+        level = [HallTree.make_node(u, v) for u, v in pairs]
+        made[i] = level + [HallTree.make_node(t, u) for t in level
+                           for u in leaves]
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(a is b for trees in made for a, b in zip(trees, made[0]))
+    shared = {}
+    for t in made[0]:
+        assert shared.setdefault(t.mdeg, t.mdeg) is t.mdeg
 
 
 def test_witt_validates_input():

@@ -5,8 +5,10 @@ from hypothesis import given, strategies as st
 from liegen import random_like
 from lietau.hall import (HallTree, hall_basis, is_basic, tree_from_str,
                          tree_to_json)
-from lietau.lie import (LieElement, bracket, expand_associative, lie_from_json,
-                        lie_to_json, lift_word, substitute, tree_to_lie)
+from lietau import lie
+from lietau.lie import (LieElement, _bracket_trees, bracket, expand_associative,
+                        lie_from_json, lie_to_json, lift_word, substitute,
+                        tree_to_lie)
 from lietau.magnus import lie_class_at
 from lietau.words import Alphabet
 
@@ -67,6 +69,59 @@ def test_bracket_output_is_basic():
         b = random_like(rng.randint(1, 3), 3, rng)
         for t in bracket(a, b).terms:
             assert is_basic(t)
+
+
+def _associative(terms):
+    """sum of c * expand_associative(t) over (t, c), without zeros."""
+    out = {}
+    for t, c in terms:
+        for m, d in expand_associative(t).items():
+            out[m] = out.get(m, 0) + c * d
+    return {m: c for m, c in out.items() if c}
+
+
+def _commutator(p, q):
+    """pq - qp for {monomial: coeff} maps."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+            out[m2 + m1] = out.get(m2 + m1, 0) - c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def test_bracket_trees_expand_to_the_associative_commutator():
+    # the free Lie ring embeds in the free associative ring, so [u, v] in
+    # Hall coordinates must expand to uv - vu, whichever route it took
+    rng = random.Random(20261019)
+    routes = set()
+    for n in (3, 4):
+        for _ in range(120):
+            wu = rng.randint(1, 5)
+            u = rng.choice(hall_basis(wu, n))
+            v = rng.choice(hall_basis(rng.randint(1, 6 - wu), n))
+            for a, b in ((u, v), (v, u)):
+                if a is b:
+                    routes.add("equal")
+                elif a.key < b.key:
+                    routes.add("reversed")
+                elif a.is_leaf() or a.right.key <= b.key:
+                    routes.add("direct")
+                else:
+                    routes.add("rewritten")
+                got = _bracket_trees(a, b)
+                assert all(is_basic(t) and t.weight == a.weight + b.weight
+                           for t in got)
+                assert _associative(got.items()) == _commutator(
+                    expand_associative(a), expand_associative(b))
+    assert routes >= {"direct", "reversed", "rewritten"}
+
+
+def test_memo_holds_only_rewritten_pairs(model_of):
+    model_of(2).symplectic_ideal().level(5)
+    assert lie._bracket_memo
+    for u, v in lie._bracket_memo:
+        assert u.key > v.key and not u.is_leaf() and u.right.key > v.key
 
 
 def test_bilinearity():
