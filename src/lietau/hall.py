@@ -12,6 +12,7 @@ distinct foliage, so the order is total on them.
 """
 
 import threading
+from bisect import bisect_left
 from functools import lru_cache
 
 
@@ -159,10 +160,14 @@ def hall_basis(k, n):
         return tuple(HallTree.make_leaf(i) for i in range(n))
     out = []
     for w1 in range(1, k):
+        lower = hall_basis(k - w1, n)
+        keys = [v.key for v in lower]
         for u in hall_basis(w1, n):
-            for v in hall_basis(k - w1, n):
-                if u.key > v.key and (u.is_leaf() or u.right.key <= v.key):
-                    out.append(HallTree.make_node(u, v))
+            # the v with [u, v] basic are one run of the sorted lower basis:
+            # u.right.key <= v.key < u.key, or every v < u for a leaf u
+            lo = 0 if u.leaf is not None else bisect_left(keys, u.right.key)
+            for v in lower[lo:bisect_left(keys, u.key)]:
+                out.append(HallTree.make_node(u, v))
     out.sort(key=lambda t: t.key)
     return tuple(out)
 

@@ -21,8 +21,8 @@ same lattice, so its block is known before bracketing.  When that block's
 lattice is already Z^N (rank N and every pivot 1; rank N alone may leave
 Z/3) the candidate is skipped: it would reduce to zero by exact divisions
 and change no row, tag or member.  Otherwise it is accumulated straight into
-the block's columns from the memoised tree brackets, in the term order of
-`lie.bracket`, and only a kept candidate becomes a `LieElement`.
+the block's columns, pair by pair as `lie.bracket` does it and in its term
+order, and only a kept candidate becomes a `LieElement`.
 
 Block lattices are built without combination tracking; only `solve_in_span`
 needs the combinations.  The first time it reads a block, that block's
@@ -37,7 +37,7 @@ import threading
 
 from .hall import HallTree, hall_basis, witt
 from .intlinalg import IntLattice
-from .lie import LieElement, _bracket_trees
+from .lie import LieElement, _bracket_into
 from .words import Word, commutator
 
 
@@ -175,13 +175,7 @@ class GradedIdeal:
                     # term order
                     vec = {}
                     for u, c in v.terms.items():
-                        for t, d in _bracket_trees(u, leaf).items():
-                            j = columns[t]
-                            val = vec.get(j, 0) + c * d
-                            if val:
-                                vec[j] = val
-                            else:
-                                del vec[j]
+                        _bracket_into(vec, u, leaf, c, columns)
                     if vec and self._keep(lv, key, vec, saturated):
                         block = lv.blocks[key]
                         lv.vectors.append(LieElement._of(
@@ -228,7 +222,7 @@ class GradedIdeal:
         if not lat.add(vec):
             return False
         lv.members.setdefault(key, []).append(len(lv.vectors))
-        if lat.rank == lat.N and all(r[j] == 1 for j, r in lat.rows.items()):
+        if lat.rank == lat.N and all(lat.pivot(j) == 1 for j in lat.pivots):
             saturated.add(key)
         return True
 

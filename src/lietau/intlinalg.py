@@ -14,11 +14,14 @@ beside it.  `magnus` solves Hall coordinates with a tracked `IntLattice`
 too; Fractions remain only in the number-field arithmetic of `symplectic`,
 which is rational by nature.
 
-Lattice rows are sparse: each is a {column: value} dict without zeros, keyed
-by its pivot column.  Insertion reduces a vector at its least nonzero column,
-by exact division when the pivot divides it and by an xgcd step otherwise,
-so the rows are exactly those of dense echelon elimination in column order;
-bracket vectors fill few columns of their block, and so do the rows.
+Lattice rows are sparse and packed: each is one flat tuple
+``(pivot column, pivot, column, value, ...)`` of its nonzero entries, the
+pivot pair first, keyed by its pivot column; a tuple of a few pairs takes a
+third of the memory of a dict.  Insertion reduces a vector, held as a
+{column: value} dict, at its least nonzero column, by exact division when
+the pivot divides it and by an xgcd step otherwise, so the rows are exactly
+those of dense echelon elimination in column order; bracket vectors fill few
+columns of their block, and so do the rows.
 
 Torsion skips the unit pivots (Cohen, GTM 138, section 2.4; Dumas, Saunders
 and Villard, J. Symbolic Comput. 32, 2001).  The rows with pivot 1 span a
@@ -60,17 +63,35 @@ def _sparse(vec, n):
     return {j: v for j, v in enumerate(vec) if v}
 
 
-def _dense(vec, n):
-    """The {column: value} dict vec as a dense list of length n."""
+def _pairs(row):
+    """The (column, value) pairs of a packed row, the pivot pair first."""
+    it = iter(row)
+    return zip(it, it)
+
+
+def _pack(j, vec):
+    """The packed row of vec, a {column: value} dict without zeros whose
+    least column is j, scaled by -1 if needed to make its pivot positive."""
+    s = 1 if vec[j] > 0 else -1
+    row = [j, s * vec[j]]
+    for c, v in vec.items():
+        if c != j:
+            row += (c, s * v)
+    return tuple(row)
+
+
+def _dense(pairs, n):
+    """The (column, value) pairs as a dense list of length n."""
     out = [0] * n
-    for j, v in vec.items():
+    for j, v in pairs:
         out[j] = v
     return out
 
 
-def _addmul(dst, src, factor):
-    """dst += factor * src on {key: int} dicts, dropping zeros."""
-    for key, c in src.items():
+def _addmul(dst, pairs, factor):
+    """dst += factor * src on a {key: int} dict, for src given by its
+    (key, value) pairs; drops zeros."""
+    for key, c in pairs:
         v = dst.get(key, 0) + factor * c
         if v:
             dst[key] = v
@@ -82,7 +103,7 @@ def _lincomb(x, u, y, v):
     """x*u + y*v as a new {key: int} dict without zeros."""
     out = {key: x * c for key, c in u.items()} if x else {}
     if y:
-        _addmul(out, v, y)
+        _addmul(out, v.items(), y)
     return out
 
 
@@ -90,19 +111,22 @@ class IntLattice:
     """Row lattice in Z^N kept in echelon form with positive pivots.
 
     ``pivots`` lists the pivot columns in ascending order and ``rows`` maps
-    each to its sparse row.  Vectors are given as dense sequences or as
-    {column: value} dicts.  Insertion uses xgcd pivot combination, so the
-    rows always form a basis of the lattice generated by everything inserted
-    so far.  When ``track`` is set, ``combos`` maps each pivot column to its
-    row's expression as an integer combination of the inserted vectors (by
-    tag), and ``relations`` lists, for every inserted vector that reduced to
-    zero, its combination; the relations span the integer kernel of the
+    each to its packed row ``(pivot column, pivot, column, value, ...)``,
+    one flat tuple of the row's nonzero entries with the pivot pair first
+    (see the module docstring); `pivot` reads a row's pivot.  Vectors are
+    given as dense sequences or as {column: value} dicts.  Insertion uses
+    xgcd pivot combination, so the rows always form a basis of the lattice
+    generated by everything inserted so far.  When ``track`` is set,
+    ``combos`` maps each pivot column to its row's expression, a {tag:
+    coeff} dict, as an integer combination of the inserted vectors (by
+    tag), and ``relations`` lists, for every inserted vector that reduced
+    to zero, its combination; the relations span the integer kernel of the
     inserted vectors.
     """
 
     def __init__(self, ncols, track=False):
         self.N = ncols
-        self.rows = {}            # pivot column -> {column: value}
+        self.rows = {}            # pivot column -> packed row
         self.combos = {} if track else None
         self.relations = [] if track else None
         self.pivots = []          # ascending
@@ -111,14 +135,22 @@ class IntLattice:
     def rank(self):
         return len(self.pivots)
 
+    def pivot(self, j):
+        """The pivot of the row whose pivot column is j."""
+        return self.rows[j][1]
+
     def add(self, vec, tag=None):
         """Insert a vector; returns True when the lattice changed.
 
         The lattice changes when a new pivot appears or when a gcd step
         shrinks the index (the vector was not already a member); a vector
-        already in the lattice reduces away by exact divisions only.
+        already in the lattice reduces away by exact divisions only.  A
+        dict without zeros is read as given and copied only when a step
+        changes it, so a dict given is never modified.
         """
-        vec = _sparse(vec, self.N)
+        own = not isinstance(vec, dict) or 0 in vec.values()
+        if own:
+            vec = _sparse(vec, self.N)
         rows, combos = self.rows, self.combos
         combo = {tag: 1} if combos is not None else None
         changed = False
@@ -126,27 +158,35 @@ class IntLattice:
             j = min(vec)
             row = rows.get(j)
             if row is None:
-                if vec[j] < 0:
-                    vec = {c: -v for c, v in vec.items()}
-                    if combo is not None:
-                        combo = {t: -c for t, c in combo.items()}
-                rows[j] = vec
+                if vec[j] < 0 and combo is not None:
+                    combo = {t: -c for t, c in combo.items()}
+                rows[j] = _pack(j, vec)
                 insort(self.pivots, j)
                 if combos is not None:
                     combos[j] = combo
                 return True
-            a, b = row[j], vec[j]
+            a, b = row[1], vec[j]
             if b % a == 0:
                 q = b // a
-                _addmul(vec, row, -q)
+                if not own:
+                    vec, own = dict(vec), True
+                # each loop step takes a column, and next(it) its value
+                it = iter(row)
+                for c in it:
+                    v = vec.get(c, 0) - q * next(it)
+                    if v:
+                        vec[c] = v
+                    else:
+                        del vec[c]
                 if combo is not None:
-                    _addmul(combo, combos[j], -q)
+                    _addmul(combo, combos[j].items(), -q)
             else:
                 changed = True
                 x, y, g = xgcd(a, b)
                 ag, bg = a // g, b // g
-                rows[j] = _lincomb(x, row, y, vec)
-                vec = _lincomb(-bg, row, ag, vec)
+                row = dict(_pairs(row))
+                rows[j] = _pack(j, _lincomb(x, row, y, vec))
+                vec, own = _lincomb(-bg, row, ag, vec), True
                 if combo is not None:
                     rc = combos[j]
                     combos[j] = _lincomb(x, rc, y, combo)
@@ -161,13 +201,14 @@ class IntLattice:
         rows = self.rows
         while vec:
             j = min(vec)
-            row = rows.get(j)
-            if row is None or vec[j] % row[j]:
+            if j not in rows:
                 return False
-            q = vec[j] // row[j]
-            _addmul(vec, row, -q)
+            q, r = divmod(vec[j], self.pivot(j))
+            if r:
+                return False
+            _addmul(vec, _pairs(rows[j]), -q)
             if acc is not None:
-                _addmul(acc, self.combos[j], q)
+                _addmul(acc, self.combos[j].items(), q)
         return True
 
     def member_combo(self, vec):
@@ -187,14 +228,13 @@ class IntLattice:
         """Canonical coset representative, of the kind vec was given as
         (dense or a dict): floor-reduce at each pivot column, left to right."""
         out = _sparse(vec, self.N)
-        rows = self.rows
         for j in self.pivots:
             v = out.get(j)
             if v:
-                q = v // rows[j][j]
+                q = v // self.pivot(j)
                 if q:
-                    _addmul(out, rows[j], -q)
-        return out if isinstance(vec, dict) else _dense(out, self.N)
+                    _addmul(out, _pairs(self.rows[j]), -q)
+        return out if isinstance(vec, dict) else _dense(out.items(), self.N)
 
     def torsion(self):
         """The Smith divisors of Z^N / L other than 1, ascending.
@@ -203,17 +243,16 @@ class IntLattice:
         pivot order, and the Smith form runs on those rows alone, over the
         columns they still touch (see the module docstring).
         """
-        rows = self.rows
-        units = [j for j in self.pivots if rows[j][j] == 1]
+        units = [j for j in self.pivots if self.pivot(j) == 1]
         rest = []
         for j in self.pivots:
-            if rows[j][j] == 1:
+            if self.pivot(j) == 1:
                 continue
-            vec = dict(rows[j])
+            vec = dict(_pairs(self.rows[j]))
             for u in units:
                 v = vec.get(u)
                 if v:
-                    _addmul(vec, rows[u], -v)
+                    _addmul(vec, _pairs(self.rows[u]), -v)
             rest.append(vec)
         if not rest:
             return []
@@ -223,7 +262,23 @@ class IntLattice:
 
     def matrix(self):
         """The rows as dense lists, in pivot order."""
-        return [_dense(self.rows[j], self.N) for j in self.pivots]
+        return [_dense(_pairs(self.rows[j]), self.N) for j in self.pivots]
+
+    def hermite(self):
+        """The rows in Hermite normal form, as dense lists in pivot order:
+        every entry above a pivot is reduced into [0, pivot).
+
+        Above-pivot reduction runs left to right so later reductions never
+        touch an already-reduced pivot column.
+        """
+        out = self.matrix()
+        for i, j in enumerate(self.pivots):
+            p = out[i][j]
+            for i2 in range(i):
+                q = out[i2][j] // p
+                if q:
+                    out[i2] = [a - q * b for a, b in zip(out[i2], out[i])]
+        return out
 
 
 def smith_divisors(rows):
@@ -242,10 +297,10 @@ def smith_divisors(rows):
         lat = IntLattice(len(rows[0]) if rows else 0)
         for r in rows:
             lat.add(r)
-        if all(len(lat.rows[j]) == 1 for j in lat.pivots):
+        if all(len(lat.rows[j]) == 2 for j in lat.pivots):
             break
         rows = transpose(lat.matrix())
-    divisors = [lat.rows[j][j] for j in lat.pivots]
+    divisors = [lat.pivot(j) for j in lat.pivots]
     for i in range(len(divisors)):
         for j in range(i + 1, len(divisors)):
             a, b = divisors[i], divisors[j]
@@ -317,24 +372,11 @@ def int_kernel_basis(mat, ncols):
 
 
 def hermite_rows(rows, ncols):
-    """Canonical HNF rows (drops the zero rows); used for lattice equality.
-
-    Above-pivot reduction runs left to right so later reductions never touch
-    an already-reduced pivot column.
-    """
+    """Canonical HNF rows (drops the zero rows); used for lattice equality."""
     lat = IntLattice(ncols)
     for r in rows:
         lat.add(r)
-    out = lat.matrix()
-    for i in range(len(out)):
-        j = lat.pivots[i]
-        p = out[i][j]
-        for i2 in range(i):
-            q = out[i2][j] // p
-            if q:
-                for jj in range(ncols):
-                    out[i2][jj] -= q * out[i][jj]
-    return out
+    return lat.hermite()
 
 
 def saturate_rows(rows, ncols):

@@ -10,12 +10,16 @@ pair [w1, w2] = [[v1, v2], w2] violates the basis condition (v2 > w2) apply
 and recurse.  Each recursive call strictly decreases the well-founded measure
 (total weight, weight of the smaller argument, its rank within that weight),
 so the rewriting terminates.  Only the pairs that need the Jacobi rewrite are
-memoized: a pair in Hall order is one interned node, and a reversed pair is
-the negation of its flip, both recomputed in one step.
+memoized, each as one flat tuple ``(t1, c1, t2, c2, ...)`` of its terms: a
+pair in Hall order is one interned node, and a reversed pair is its flip
+with the sign folded into the coefficient, both recomputed in one step.
+`bracket` and the ideal builds add ``c * [u, v]`` straight into their own
+accumulator (`_bracket_into`), so no pair builds a map or a negated copy.
 """
 
 import threading
 from functools import lru_cache
+from itertools import chain
 
 from .hall import HallTree
 from .words import Word, commutator as word_commutator
@@ -121,49 +125,90 @@ _bracket_memo = {}
 _bracket_lock = threading.Lock()
 
 
-def _bracket_trees(u, v):
-    """[u, v] for basic commutators u, v, as a {tree: coeff} map.
+def _bracket_into(acc, u, v, c, cols=None):
+    """acc += c * [u, v] for basic commutators u, v and a nonzero int c.
 
-    The caller must not mutate the map: a rewritten pair's is memoized."""
+    acc maps trees, or their columns cols[tree] when cols is given, to
+    nonzero ints; a coefficient that reaches zero is dropped."""
     if u is v:
-        return {}
+        return
     if u.key < v.key:
-        return {t: -c for t, c in _bracket_trees(v, u).items()}
+        u, v, c = v, u, -c
     if u.leaf is not None or u.right.key <= v.key:
-        return {HallTree.make_node(u, v): 1}
-    key = (u, v)
-    hit = _bracket_memo.get(key)
-    if hit is not None:
-        return hit
-    # u = [v1, v2] with v2 > v: Jacobi rearrangement, then recurse.
+        t = HallTree.make_node(u, v)
+        if cols is not None:
+            t = cols[t]
+        val = acc.get(t, 0) + c
+        if val:
+            acc[t] = val
+        else:
+            del acc[t]
+        return
+    terms = _bracket_memo.get((u, v))
+    if terms is None:
+        terms = _rewrite(u, v)
+    # each loop step takes a tree, and next(it) its coefficient
+    it = iter(terms)
+    if cols is None:
+        for t in it:
+            val = acc.get(t, 0) + c * next(it)
+            if val:
+                acc[t] = val
+            else:
+                del acc[t]
+    else:
+        for t in it:
+            t = cols[t]
+            val = acc.get(t, 0) + c * next(it)
+            if val:
+                acc[t] = val
+            else:
+                del acc[t]
+
+
+def _signed_terms(u, v):
+    """(s, terms) with [u, v] = s * terms, for basic commutators u, v and
+    a flat tuple of terms: the memo rewrite's view of a bracket, which
+    `_bracket_into` takes the same way without building these tuples."""
+    if u is v:
+        return 0, ()
+    s = 1
+    if u.key < v.key:
+        u, v, s = v, u, -1
+    if u.leaf is not None or u.right.key <= v.key:
+        return s, (HallTree.make_node(u, v), 1)
+    terms = _bracket_memo.get((u, v))
+    return s, (_rewrite(u, v) if terms is None else terms)
+
+
+def _rewrite(u, v):
+    """The memo entry of [u, v] for u = [v1, v2] with v2 > v, where u > v:
+    [[v1, v], v2] + [v1, [v2, v]], each bracket rewritten in turn,
+    accumulated without dropping zeros until the end."""
     v1, v2 = u.left, u.right
     res = {}
-    for h, c in _bracket_trees(v1, v).items():
-        for t, d in _bracket_trees(h, v2).items():
-            res[t] = res.get(t, 0) + c * d
-    for h, c in _bracket_trees(v2, v).items():
-        for t, d in _bracket_trees(v1, h).items():
-            res[t] = res.get(t, 0) + c * d
-    res = {t: c for t, c in res.items() if c}
+    for w, first in ((v1, True), (v2, False)):
+        s, terms = _signed_terms(w, v)
+        it = iter(terms)
+        for h in it:
+            r, sub = _signed_terms(h, v2) if first else _signed_terms(v1, h)
+            c = s * r * next(it)
+            it2 = iter(sub)
+            for t in it2:
+                res[t] = res.get(t, 0) + c * next(it2)
+    terms = tuple(chain.from_iterable((t, c) for t, c in res.items() if c))
     with _bracket_lock:
-        _bracket_memo[key] = res
-    return res
+        _bracket_memo[u, v] = terms
+    return terms
 
 
 def bracket(e1, e2):
     """Bilinear bracket; the result is homogeneous of weight w1 + w2."""
-    w = e1.weight + e2.weight
     acc = {}
     for u, c in e1.terms.items():
         for v, d in e2.terms.items():
-            cd = c * d
-            for t, e in _bracket_trees(u, v).items():
-                val = acc.get(t, 0) + cd * e
-                if val:
-                    acc[t] = val
-                else:
-                    acc.pop(t, None)
-    return LieElement._of(w, acc)
+            _bracket_into(acc, u, v, c * d)
+    return LieElement._of(e1.weight + e2.weight, acc)
 
 
 def tree_to_lie(t):

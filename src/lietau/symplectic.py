@@ -12,7 +12,7 @@ from math import isqrt
 
 from .errors import (DimensionMismatchError, GenusTooLargeError, InternalFault,
                      NotDirectSummandError, NotIsotropicError, PreconditionError)
-from .intlinalg import (IntLattice, charpoly, hermite_rows, identity_matrix,
+from .intlinalg import (IntLattice, charpoly, identity_matrix,
                         int_kernel_basis, mat_mul, mat_vec, poly_eval_matrix,
                         saturate_rows, transpose)
 
@@ -98,7 +98,7 @@ class Lagrangian:
         if lat.torsion():
             raise NotDirectSummandError(
                 "span is not a direct summand (non-unit elementary divisors)")
-        canon = hermite_rows(lat.matrix(), 2 * genus)
+        canon = lat.hermite()
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "rows", tuple(tuple(r) for r in canon))
 

@@ -85,10 +85,26 @@ def test_hall_basis_counts_match_witt():
 
 def test_hall_basis_matches_naive_enumeration():
     for k in range(1, 6):
-        for n in (2, 3):
+        for n in (2, 3, 4):
             got = set(hall_basis(k, n))
             want = set(naive_basic_commutators(k, n))
             assert got == want
+
+
+def test_hall_basis_matches_the_pair_filter():
+    # [u, v] with u, v basic is basic iff u > v and (u is a leaf or
+    # u.right <= v); every such pair, tested one by one, in key order
+    for k, n in ((6, 6), (7, 4)):
+        want = []
+        for w1 in range(1, k):
+            for u in hall_basis(w1, n):
+                for v in hall_basis(k - w1, n):
+                    if u.key > v.key and (u.is_leaf()
+                                          or u.right.key <= v.key):
+                        want.append(HallTree.make_node(u, v))
+        want.sort(key=lambda t: t.key)
+        assert hall_basis(k, n) == tuple(want)
+        assert len(want) == witt(k, n)
 
 
 def test_hall_basis_sorted_and_basic():

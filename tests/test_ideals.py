@@ -1,7 +1,11 @@
+import json
+import os
 import random
+import subprocess
 import sys
 import threading
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -317,7 +321,7 @@ def test_torsion_is_smith_over_every_block(model_of):
                 block = [d for d in smith_divisors(lat.matrix()) if d != 1]
                 assert lat.torsion() == sorted(block)
                 direct += block
-                pivots = {lat.rows[j][j] == 1 for j in lat.pivots}
+                pivots = {lat.pivot(j) == 1 for j in lat.pivots}
                 mixed += bool(block) and pivots == {True, False}
             assert lv.torsion == tuple(sorted(direct))
     assert [ideals[0].level(k).torsion for k in (1, 2, 3)] == [(2,), (), ()]
@@ -380,3 +384,29 @@ def test_blocks_agree_with_whole_layer(model_of):
                 e = random_like(k, 4, rng)
                 expected = LieElement(k, zip(basis, lat.reduce_mod(coords(e))))
                 assert ideal.reduce(e).vector == expected
+
+
+# recorded on the engine whose rows and memo entries were {key: value}
+# dicts, before they became flat tuples
+ENGINE_DIGESTS = {
+    "levels": "55dbcb316d35852cdd54e28d1d9a6c334c993476497b4f809e8a588f94eb5f3b",
+    "memo": "0eacd9dc8846dfba8ef18978e646db727179ed4eda927685906dd94a1f9bf84d",
+    "memo_entries": 283,
+}
+
+
+def test_engine_digests_are_the_recorded_ones():
+    # levels of both ideals for g=2, k <= 5 and g=3, k <= 4 (vectors in term
+    # order, lift recipes, block rows, pivots, members, rank, torsion) and
+    # the bracket memo after those builds, in insertion order; a fresh
+    # interpreter, since the memo's order depends on all earlier brackets
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tests.parent / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, str(tests / "enginedigest.py")],
+                         env=env, capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    got = json.loads(out)
+    del got["lagrangians"]
+    assert got == ENGINE_DIGESTS

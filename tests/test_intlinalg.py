@@ -200,6 +200,19 @@ def _vectors(rng, n, count, pool):
     return out
 
 
+def _assert_packed(lat):
+    """Every row is stored as one flat tuple (pivot column, pivot, column,
+    value, ...) under its pivot column: pivot pair first, pivot positive,
+    no zero and no repeated column."""
+    assert sorted(lat.rows) == lat.pivots
+    for j, row in lat.rows.items():
+        assert type(row) is tuple and len(row) % 2 == 0
+        cols, vals = row[::2], row[1::2]
+        assert cols[0] == j == min(cols) and vals[0] == lat.pivot(j) > 0
+        assert len(set(cols)) == len(cols)
+        assert all(vals)
+
+
 def test_sparse_rows_match_dense_reference():
     rng = random.Random(2024)
     seen = dict.fromkeys(("zero", "member", "index_shrink", "non_unit"), 0)
@@ -212,6 +225,8 @@ def test_sparse_rows_match_dense_reference():
             expect = ref.add(vec, tag)
             assert lat.add(vec, tag) is expect
             assert plain.add(dict(enumerate(vec))) is expect
+            _assert_packed(lat)
+            _assert_packed(plain)
             assert lat.matrix() == ref.rows == plain.matrix()
             assert lat.pivots == ref.pivots == plain.pivots
             assert [lat.combos[j] for j in lat.pivots] == ref.combos

@@ -6,7 +6,7 @@ from liegen import random_like
 from lietau.hall import (HallTree, hall_basis, is_basic, tree_from_str,
                          tree_to_json)
 from lietau import lie
-from lietau.lie import (LieElement, _bracket_trees, bracket, expand_associative,
+from lietau.lie import (LieElement, _bracket_into, bracket, expand_associative,
                         lie_from_json, lie_to_json, lift_word, substitute,
                         tree_to_lie)
 from lietau.magnus import lie_class_at
@@ -90,16 +90,28 @@ def _commutator(p, q):
     return {m: c for m, c in out.items() if c}
 
 
-def test_bracket_trees_expand_to_the_associative_commutator():
-    # the free Lie ring embeds in the free associative ring, so [u, v] in
-    # Hall coordinates must expand to uv - vu, whichever route it took
+def _plus(p, q, c=1):
+    """p + c * q for {monomial: coeff} maps, without zeros."""
+    out = dict(p)
+    for m, d in q.items():
+        out[m] = out.get(m, 0) + c * d
+    return {m: d for m, d in out.items() if d}
+
+
+def test_bracket_into_adds_the_associative_commutator():
+    # the free Lie ring embeds in the free associative ring, so adding
+    # c * [u, v] in Hall coordinates into an accumulator must add
+    # c * (uv - vu) to its expansion, whichever route the bracket took, and
+    # a term that cancels exactly must leave the accumulator
     rng = random.Random(20261019)
     routes = set()
+    cancelled = 0
     for n in (3, 4):
         for _ in range(120):
             wu = rng.randint(1, 5)
             u = rng.choice(hall_basis(wu, n))
             v = rng.choice(hall_basis(rng.randint(1, 6 - wu), n))
+            w = u.weight + v.weight
             for a, b in ((u, v), (v, u)):
                 if a is b:
                     routes.add("equal")
@@ -109,19 +121,41 @@ def test_bracket_trees_expand_to_the_associative_commutator():
                     routes.add("direct")
                 else:
                     routes.add("rewritten")
-                got = _bracket_trees(a, b)
-                assert all(is_basic(t) and t.weight == a.weight + b.weight
-                           for t in got)
-                assert _associative(got.items()) == _commutator(
-                    expand_associative(a), expand_associative(b))
+                c = rng.choice((1, -1, 2, -3, 5))
+                want = _commutator(expand_associative(a), expand_associative(b))
+                fresh = {}
+                _bracket_into(fresh, a, b, c)
+                assert all(is_basic(t) and t.weight == w and d
+                           for t, d in fresh.items())
+                assert _associative(fresh.items()) == _plus({}, want, c)
+                basis = hall_basis(w, n)
+                start = {t: rng.choice((1, -2, 3))
+                         for t in rng.sample(basis, min(3, len(basis)))}
+                gone = list(fresh)[:1]
+                for t in gone:
+                    start[t] = -fresh[t]
+                acc = dict(start)
+                _bracket_into(acc, a, b, c)
+                assert 0 not in acc.values()
+                assert not any(t in acc for t in gone)
+                cancelled += len(gone)
+                assert _associative(acc.items()) == _plus(
+                    _associative(start.items()), want, c)
     assert routes >= {"direct", "reversed", "rewritten"}
+    assert cancelled
 
 
 def test_memo_holds_only_rewritten_pairs(model_of):
     model_of(2).symplectic_ideal().level(5)
     assert lie._bracket_memo
-    for u, v in lie._bracket_memo:
+    for (u, v), entry in lie._bracket_memo.items():
         assert u.key > v.key and not u.is_leaf() and u.right.key > v.key
+        # a flat tuple (t1, c1, t2, c2, ...) of distinct trees, no zero
+        assert type(entry) is tuple and entry and len(entry) % 2 == 0
+        trees, coeffs = entry[::2], entry[1::2]
+        assert len(set(trees)) == len(trees)
+        assert all(t.weight == u.weight + v.weight for t in trees)
+        assert all(type(c) is int and c for c in coeffs)
 
 
 def test_bilinearity():

@@ -258,6 +258,23 @@ def test_adapt_random_lagrangians():
             assert hermite_rows(cols, n) == [list(r) for r in lag.rows]
 
 
+def test_scan_family_rows_are_unchanged():
+    # Lagrangian reads its Hermite rows off the lattice it checks; over the
+    # height-3 genus-3 family they are canonical, also from a unimodular mix
+    # of the rows that leaves entries above the pivots, and are the rows
+    # recorded when they came from a second lattice built on the echelon rows
+    from enginedigest import lagrangian_digest
+    from lietau.obstruction import scan_family
+    for lag in scan_family(3, 3):
+        r0, r1, r2 = lag.rows
+        mixed = [[a + b + c for a, b, c in zip(r0, r1, r2)],
+                 [b - 2 * c for b, c in zip(r1, r2)], r2]
+        assert hermite_rows(mixed, 6) == [list(r) for r in lag.rows]
+        assert Lagrangian(3, mixed).rows == lag.rows
+    assert lagrangian_digest() == (
+        "fdca1f61d01fdec6e355c25faee44aea0cee4846184c050f619065a560593dd6")
+
+
 def test_adapt_mixed_example():
     lag = Lagrangian(2, [[1, 0, 0, 1], [0, 1, 1, 0]])
     s = adapt_symplectic_basis(lag)
