@@ -39,7 +39,7 @@ class HallTree:
             w = left.weight + right.weight
             key = (w,) + left.key[1:] + right.key[1:]
             mdeg = tuple(sorted(left.mdeg + right.mdeg))
-        # make_leaf and make_node hold the lock here
+        # _create holds the lock here
         mdeg = HallTree._mdegs.setdefault(mdeg, mdeg)
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "key", key)
@@ -53,38 +53,31 @@ class HallTree:
         i = int(i)
         if i < 0:
             raise ValueError("leaf index must be >= 0")
-        reg = HallTree._registry
-        tok = ("L", i)
-        t = reg.get(tok)
-        if t is None:
-            with HallTree._lock:
-                t = reg.get(tok)
-                if t is None:
-                    t = HallTree(_token=reg, leaf=i)
-                    reg[tok] = t
-        return t
+        t = HallTree._registry.get(("L", i))
+        if t is not None:
+            return t
+        return HallTree._create(("L", i), leaf=i)
 
     @staticmethod
     def make_node(left, right):
+        t = HallTree._registry.get((left, right))
+        if t is not None:
+            return t
+        return HallTree._create((left, right), left=left, right=right)
+
+    @staticmethod
+    def _create(tok, **parts):
+        """The registry's tree for `tok`, made under the lock if no other
+        thread made it first."""
         reg = HallTree._registry
-        tok = (left, right)
-        t = reg.get(tok)
-        if t is None:
-            with HallTree._lock:
-                t = reg.get(tok)
-                if t is None:
-                    t = HallTree(_token=reg, left=left, right=right)
-                    reg[tok] = t
+        with HallTree._lock:
+            t = reg.get(tok)
+            if t is None:
+                t = reg[tok] = HallTree(_token=reg, **parts)
         return t
 
     def is_leaf(self):
         return self.leaf is not None
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __le__(self, other):
-        return self.key <= other.key
 
     def __repr__(self):
         return tree_to_str(self)

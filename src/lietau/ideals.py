@@ -20,9 +20,9 @@ A candidate [v, x_i] lies in v's block plus letter i, reduced modulo the
 same lattice, so its block is known before bracketing.  When that block's
 lattice is already Z^N (rank N and every pivot 1; rank N alone may leave
 Z/3) the candidate is skipped: it would reduce to zero by exact divisions
-and change no row, tag or member.  Otherwise it is accumulated straight into
-the block's columns, pair by pair as `lie.bracket` does it and in its term
-order, and only a kept candidate becomes a `LieElement`.
+and change no row, tag or member.  Otherwise it is accumulated by trees as
+`lie.bracket` does it and handed to the block's lattice by columns; only a
+kept candidate becomes a `LieElement`, a compact copy of the accumulator.
 
 Block lattices are built without combination tracking; only `solve_in_span`
 needs the combinations.  The first time it reads a block, that block's
@@ -171,15 +171,16 @@ class GradedIdeal:
                             self._grading.reduce_mod(counts))
                     if key in saturated:
                         continue
-                    # [v, x_i] in the block's columns, in `lie.bracket`'s
-                    # term order
-                    vec = {}
+                    # [v, x_i] by trees, as `lie.bracket` builds it; kept
+                    # as a copy grown entry by entry, since acc's table
+                    # keeps cancelled slots and dict(acc) may oversize
+                    acc = {}
                     for u, c in v.terms.items():
-                        _bracket_into(vec, u, leaf, c, columns)
+                        _bracket_into(acc, u, leaf, c)
+                    vec = {columns[t]: c for t, c in acc.items()}
                     if vec and self._keep(lv, key, vec, saturated):
-                        block = lv.blocks[key]
                         lv.vectors.append(LieElement._of(
-                            k, {block[j]: c for j, c in vec.items()}))
+                            k, {t: c for t, c in acc.items()}))
                         lv.lifts.append((tag, i))
         lv.rank = sum(lat.rank for lat in lv.lattices.values())
         lv.torsion = tuple(sorted(d for lat in lv.lattices.values()

@@ -11,10 +11,11 @@ and recurse.  Each recursive call strictly decreases the well-founded measure
 (total weight, weight of the smaller argument, its rank within that weight),
 so the rewriting terminates.  Only the pairs that need the Jacobi rewrite are
 memoized, each as one flat tuple ``(t1, c1, t2, c2, ...)`` of its terms: a
-pair in Hall order is one interned node, and a reversed pair is its flip
-with the sign folded into the coefficient, both recomputed in one step.
-`bracket` and the ideal builds add ``c * [u, v]`` straight into their own
-accumulator (`_bracket_into`), so no pair builds a map or a negated copy.
+pair in Hall order is the one-term tuple of its interned node, and a
+reversed pair is its flip with the sign folded into the coefficient.  One
+routine, `_bracket_into`, adds ``c * [u, v]`` into an accumulator and drops
+zeros as they occur; `bracket`, the ideal builds and the memo's own
+rewrites all go through it.
 """
 
 import threading
@@ -125,78 +126,46 @@ _bracket_memo = {}
 _bracket_lock = threading.Lock()
 
 
-def _bracket_into(acc, u, v, c, cols=None):
+def _bracket_into(acc, u, v, c):
     """acc += c * [u, v] for basic commutators u, v and a nonzero int c.
 
-    acc maps trees, or their columns cols[tree] when cols is given, to
-    nonzero ints; a coefficient that reaches zero is dropped."""
+    acc maps trees to nonzero ints; a coefficient that reaches zero is
+    dropped.  This is the one reader of the flip, the Hall-order test and
+    the memo."""
     if u is v:
         return
     if u.key < v.key:
         u, v, c = v, u, -c
     if u.leaf is not None or u.right.key <= v.key:
-        t = HallTree.make_node(u, v)
-        if cols is not None:
-            t = cols[t]
-        val = acc.get(t, 0) + c
+        terms = (HallTree.make_node(u, v), 1)
+    else:
+        terms = _bracket_memo.get((u, v))
+        if terms is None:
+            terms = _rewrite(u, v)
+    # each loop step takes a tree, and next(it) its coefficient
+    it = iter(terms)
+    for t in it:
+        val = acc.get(t, 0) + c * next(it)
         if val:
             acc[t] = val
         else:
             del acc[t]
-        return
-    terms = _bracket_memo.get((u, v))
-    if terms is None:
-        terms = _rewrite(u, v)
-    # each loop step takes a tree, and next(it) its coefficient
-    it = iter(terms)
-    if cols is None:
-        for t in it:
-            val = acc.get(t, 0) + c * next(it)
-            if val:
-                acc[t] = val
-            else:
-                del acc[t]
-    else:
-        for t in it:
-            t = cols[t]
-            val = acc.get(t, 0) + c * next(it)
-            if val:
-                acc[t] = val
-            else:
-                del acc[t]
-
-
-def _signed_terms(u, v):
-    """(s, terms) with [u, v] = s * terms, for basic commutators u, v and
-    a flat tuple of terms: the memo rewrite's view of a bracket, which
-    `_bracket_into` takes the same way without building these tuples."""
-    if u is v:
-        return 0, ()
-    s = 1
-    if u.key < v.key:
-        u, v, s = v, u, -1
-    if u.leaf is not None or u.right.key <= v.key:
-        return s, (HallTree.make_node(u, v), 1)
-    terms = _bracket_memo.get((u, v))
-    return s, (_rewrite(u, v) if terms is None else terms)
 
 
 def _rewrite(u, v):
     """The memo entry of [u, v] for u = [v1, v2] with v2 > v, where u > v:
-    [[v1, v], v2] + [v1, [v2, v]], each bracket rewritten in turn,
-    accumulated without dropping zeros until the end."""
+    [[v1, v], v2] + [v1, [v2, v]].  [v1, v] and [v2, v] are built first,
+    then each of their terms is bracketed into the entry, all through
+    `_bracket_into`, so zeros drop as they occur."""
     v1, v2 = u.left, u.right
-    res = {}
-    for w, first in ((v1, True), (v2, False)):
-        s, terms = _signed_terms(w, v)
-        it = iter(terms)
-        for h in it:
-            r, sub = _signed_terms(h, v2) if first else _signed_terms(v1, h)
-            c = s * r * next(it)
-            it2 = iter(sub)
-            for t in it2:
-                res[t] = res.get(t, 0) + c * next(it2)
-    terms = tuple(chain.from_iterable((t, c) for t, c in res.items() if c))
+    a, b, res = {}, {}, {}
+    _bracket_into(a, v1, v, 1)
+    _bracket_into(b, v2, v, 1)
+    for h, c in a.items():
+        _bracket_into(res, h, v2, c)
+    for h, c in b.items():
+        _bracket_into(res, v1, h, c)
+    terms = tuple(chain.from_iterable(res.items()))
     with _bracket_lock:
         _bracket_memo[u, v] = terms
     return terms

@@ -2,8 +2,8 @@
 
 Run as a script in a fresh interpreter (``PYTHONPATH=src python
 tests/enginedigest.py``), it builds the symplectic and handlebody ideals'
-levels for genus 2 up to weight 5 and genus 3 up to weight 4 and prints a
-JSON object of SHA-256 digests, with the memo's size:
+levels for genus 1 and 2 up to weight 7 and genus 3 up to weight 6 and
+prints a JSON object of SHA-256 digests, with the memo's size:
 
 - ``levels``: every level's kept vectors with their term order, lift
   recipes, and each block's dense echelon rows, pivot columns, members,
@@ -24,7 +24,7 @@ from lietau.hall import tree_to_str
 from lietau.obstruction import scan_family
 from lietau.words import Word
 
-BUILDS = ((2, 5), (3, 4))
+BUILDS = ((1, 7), (2, 7), (3, 6))
 
 
 def _sha(obj):

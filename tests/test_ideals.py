@@ -208,6 +208,21 @@ def test_tracking_on_demand_equals_tracking_at_build():
                     assert ondemand.combos == lat.combos
 
 
+def test_kept_vectors_hold_compact_term_dicts():
+    # a candidate's accumulator keeps the table slots of terms that
+    # cancelled, and a dict() copy may be presized larger than needed
+    # (CPython 3.11 gives 21 entries 64 slots, not 32); a kept vector must
+    # be no larger than a dict grown entry by entry from its items (fresh
+    # models, so every vector here was made by this build)
+    for g, kmax in ((2, 6), (3, 5)):
+        m = SurfaceModel(g)
+        for ideal in (m.symplectic_ideal(), m.handlebody_ideal()):
+            for k in range(1, kmax + 1):
+                for e in ideal.level(k).vectors:
+                    assert sys.getsizeof(e.terms) == sys.getsizeof(
+                        {t: c for t, c in e.terms.items()})
+
+
 def test_full_rank_block_with_non_unit_pivot_is_not_skipped():
     # after 3[y,x] the weight-2 block has rank N = 1 but is 3Z, not Z: the
     # candidate [2x, y] = -2[y,x] must still be inserted, and it makes the
@@ -386,19 +401,18 @@ def test_blocks_agree_with_whole_layer(model_of):
                 assert ideal.reduce(e).vector == expected
 
 
-# recorded on the engine whose rows and memo entries were {key: value}
-# dicts, before they became flat tuples
+# recorded on the engine before its bracket rewrite became one routine
 ENGINE_DIGESTS = {
-    "levels": "55dbcb316d35852cdd54e28d1d9a6c334c993476497b4f809e8a588f94eb5f3b",
-    "memo": "0eacd9dc8846dfba8ef18978e646db727179ed4eda927685906dd94a1f9bf84d",
-    "memo_entries": 283,
+    "levels": "276cc734112f2a538a5f30d94587cd6589f32bbf69e9615b2f680e0b9f950ec4",
+    "memo": "0f357532416c2b3f061ec640958a6eab4d225cac856c324b0b18acb06cdf72b4",
+    "memo_entries": 12004,
 }
 
 
 def test_engine_digests_are_the_recorded_ones():
-    # levels of both ideals for g=2, k <= 5 and g=3, k <= 4 (vectors in term
-    # order, lift recipes, block rows, pivots, members, rank, torsion) and
-    # the bracket memo after those builds, in insertion order; a fresh
+    # levels of both ideals for g=1, 2, k <= 7 and g=3, k <= 6 (vectors in
+    # term order, lift recipes, block rows, pivots, members, rank, torsion)
+    # and the bracket memo after those builds, in insertion order; a fresh
     # interpreter, since the memo's order depends on all earlier brackets
     tests = Path(__file__).resolve().parent
     env = dict(os.environ)
