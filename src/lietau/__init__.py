@@ -36,7 +36,7 @@ _EXPORTS = {
         "invariant_lagrangian_search", "is_invariant", "is_symplectic",
         "omega"),
     "johnson": (
-        "DEFAULT_CAP", "HomValue", "MappingClassData", "TauValue",
+        "DEFAULT_CAP", "MappingClassData", "TauValue",
         "boundary_twist", "braid_automorphism", "eta", "eta_inverse",
         "identity_mapping_class", "johnson_depth", "jprime_depth",
         "point_push_tau", "push_tuple_of", "sigma", "tau", "tau1"),

@@ -44,13 +44,11 @@ from .words import Word, commutator
 class QuotientClass:
     """Canonical representative of a Lie element modulo a graded ideal."""
 
-    __slots__ = ("weight", "vector", "quotient_rank", "torsion")
+    __slots__ = ("weight", "vector")
 
-    def __init__(self, weight, vector, quotient_rank, torsion):
+    def __init__(self, weight, vector):
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "quotient_rank", quotient_rank)
-        object.__setattr__(self, "torsion", tuple(torsion))
 
     def __setattr__(self, *a):
         raise AttributeError("QuotientClass is immutable")
@@ -66,9 +64,7 @@ class QuotientClass:
         return hash((self.weight, self.vector))
 
     def __repr__(self):
-        return "QuotientClass(%r, rank=%d%s)" % (
-            self.vector, self.quotient_rank,
-            ", torsion=%r" % (self.torsion,) if self.torsion else "")
+        return "QuotientClass(%r)" % (self.vector,)
 
 
 class _Level:
@@ -265,8 +261,7 @@ class GradedIdeal:
                 vec = lat.reduce_mod(vec)
             block = lv.blocks[key]
             terms.extend((block[i], c) for i, c in vec.items())
-        return QuotientClass(k, LieElement(k, terms), self.quotient_rank(k),
-                             lv.torsion)
+        return QuotientClass(k, LieElement(k, terms))
 
     def solve_in_span(self, e):
         """Integer combination of spanning vectors equal to e, with lifts.

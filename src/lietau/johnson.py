@@ -7,12 +7,14 @@ given words at construction.  Every depth and Johnson value is read from
 the truncated Magnus action X_i -> M(phi(x_i)) at the cap it needs (Morita,
 Duke Math. J. 70, 1993; Kitano, Topology Appl. 69, 1996).  Depth in the
 filtration is the least positive degree of a generator defect series
-D_i = M(phi(x_i)) M(x_i)^-1, walked up the caps together (`magnus.walk`);
-tau_k is eta^-1 after the defect-class homomorphism sigma, which reads
-the degree-k classes of the D_i (`magnus.leading_class`).  eta is the
-duality omega gives between H (x) L_k and Hom(H, L_k); in the basis
-alpha_1..alpha_g, beta_1..beta_g it is the signed swap of the two halves,
-alpha_i (x) l -> (beta_i -> l) and beta_i (x) l -> (alpha_i -> -l).
+D_i = M(phi(x_i)) M(x_i)^-1, walked up the caps together (`magnus.walk`).
+One value type, `TauValue`, whose constructor alone puts a closed-surface
+value in normal form, holds every Johnson value.  sigma reads the degree-k
+classes of the D_i (`magnus.leading_class`) as one in Hom(H, L_k), term m
+the image of basis class m.  eta, the duality omega gives between H (x) L_k
+and Hom(H, L_k), is the signed swap of the basis halves alpha_i, beta_i:
+alpha_i (x) l -> (beta_i -> l), beta_i (x) l -> (alpha_i -> -l).  So
+eta^-1 = -eta, and tau_k is eta^-1 after sigma.
 
 A class built by `compose` holds its two factors and nothing else.  It
 needs no relator check, since phi(r0) = r0 and psi(r0) = r0 give
@@ -224,59 +226,28 @@ def _defect_series(f, i):
     return lambda cap: f.action(cap).defect(i)
 
 
-def _weight_k_items(items, k, message):
-    """The nonzero elements of items, a dict or (index, element) pairs, as a
-    dict; raises ValueError(message % (weight, k)) for a weight other than k."""
-    out = {}
-    for m, e in (items.items() if isinstance(items, dict) else items):
-        if e.weight != k:
-            raise ValueError(message % (e.weight, k))
-        if not e.is_zero():
-            out[m] = e
-    return out
-
-
-class HomValue:
-    """A homomorphism from homology to the weight-k layer, on basis classes."""
-
-    __slots__ = ("model", "k", "reduced", "values")
-
-    def __init__(self, model, k, values, reduced):
-        self.model, self.k, self.reduced = model, k, reduced
-        self.values = _weight_k_items(
-            values, k, "value of weight %d in weight-%d homomorphism")
-
-    def value(self, m):
-        return self.values.get(m, LieElement.zero(self.k))
-
-    def __eq__(self, other):
-        return (isinstance(other, HomValue) and self.k == other.k
-                and self.reduced == other.reduced and self.values == other.values)
-
-    def is_zero(self):
-        return not self.values
-
-    def __repr__(self):
-        names = self.model.alphabet.names
-        inner = ", ".join("%s->%r" % (names[m], e)
-                          for m, e in sorted(self.values.items()))
-        return "HomValue(k=%d, %s)" % (self.k, inner or "0")
-
-
 class TauValue:
-    """An element of H_1 tensor the weight-k layer, as basis-indexed terms.
+    """An element of H_1 tensor the weight-k layer as basis-indexed terms;
+    `sigma` returns one read in Hom(H_1, L_k), term m the image of class m.
 
     ``free`` values live over the free Lie ring of the punctured surface;
-    otherwise every Lie part is stored in its symplectic-quotient normal
-    form, so equality of values is equality of classes.
+    otherwise the constructor stores every Lie part in its
+    symplectic-quotient normal form, so equality of values is equality of
+    classes.  A value with no nonzero term builds no ideal level.
     """
 
     __slots__ = ("model", "k", "free", "terms")
 
     def __init__(self, model, k, free, terms):
-        self.model, self.k, self.free = model, k, free
-        self.terms = _weight_k_items(
-            terms, k, "term of weight %d in weight-%d value")
+        self.model, self.k, self.free, self.terms = model, k, free, {}
+        for m, e in terms.items():
+            if e.weight != k:
+                raise ValueError("term of weight %d in weight-%d value"
+                                 % (e.weight, k))
+            if not (free or e.is_zero()):
+                e = model.symplectic_ideal().reduce(e).vector
+            if not e.is_zero():
+                self.terms[m] = e
 
     @staticmethod
     def zero(model, k, free=False):
@@ -298,19 +269,15 @@ class TauValue:
         tm = dict(self.terms)
         for m, e in other.terms.items():
             tm[m] = tm[m] + e if m in tm else e
-        out = TauValue(self.model, self.k, self.free, tm)
-        return out if self.free else out.renormalize()
+        return TauValue(self.model, self.k, self.free, tm)
 
     def __neg__(self):
         return TauValue(self.model, self.k, self.free,
                         {m: -e for m, e in self.terms.items()})
 
     def renormalize(self):
-        """The closed-surface value: every Lie part reduced modulo the
-        symplectic ideal (coefficient reduction when the value is free)."""
-        ideal = self.model.symplectic_ideal()
-        return TauValue(self.model, self.k, False,
-                        {m: ideal.reduce(e).vector for m, e in self.terms.items()})
+        """The closed-surface value: every Lie part in its normal form."""
+        return TauValue(self.model, self.k, False, self.terms)
 
     def __repr__(self):
         names = self.model.alphabet.names
@@ -344,34 +311,36 @@ def _defect_classes(f, k):
 
 def sigma(f, k, free=False):
     """[x] -> class of phi(x) x^-1 in the weight-k layer of the closed
-    surface, or of the free Lie ring when free is set."""
-    classes = _defect_classes(f, k)
-    if not free:
-        ideal = f.model.symplectic_ideal()
-        classes = [ideal.reduce(e).vector for e in classes]
-    return HomValue(f.model, k, dict(enumerate(classes)), reduced=not free)
+    surface, or of the free Lie ring when free is set: the value whose
+    term m is the image of basis class m."""
+    return TauValue(f.model, k, free, dict(enumerate(_defect_classes(f, k))))
+
+
+def _swap(value, sign, free):
+    """The value with the basis halves swapped: the term on alpha_i moves
+    to beta_i times sign, the one on beta_i to alpha_i times -sign."""
+    g = value.model.genus
+    return TauValue(value.model, value.k, free,
+                    {(m + g) % (2 * g): e if (m < g) == (sign > 0) else -e
+                     for m, e in value.terms.items()})
 
 
 def eta(tv):
     """h (x) l  |->  ([x] -> omega(h, [x]) l): the signed swap sending
     alpha_i (x) l to beta_i -> l and beta_i (x) l to alpha_i -> -l."""
-    g = tv.model.genus
-    return HomValue(tv.model, tv.k,
-                    {(m + g) % (2 * g): e if m < g else -e
-                     for m, e in tv.terms.items()}, reduced=not tv.free)
+    return _swap(tv, 1, tv.free)
 
 
 def eta_inverse(h):
-    """sum over i of alpha_i (x) h(beta_i) - beta_i (x) h(alpha_i)."""
-    g = h.model.genus
-    return TauValue(h.model, h.k, not h.reduced,
-                    {(m + g) % (2 * g): -e if m < g else e
-                     for m, e in h.values.items()})
+    """sum over i of alpha_i (x) h(beta_i) - beta_i (x) h(alpha_i), that
+    is -eta(h)."""
+    return _swap(h, -1, h.free)
 
 
 def tau(f, k):
-    """The weight-k Johnson value in the closed-surface coefficients."""
-    return eta_inverse(sigma(f, k))
+    """The weight-k Johnson value in the closed-surface coefficients: the
+    free defect classes swapped, each nonzero term then reduced once."""
+    return _swap(sigma(f, k, free=True), -1, False)
 
 
 def tau1(f, k):
@@ -387,7 +356,6 @@ def point_push_tau(model, lambdas, k):
     """
     g = model.genus
     lams, _ = _push_data(model, lambdas)
-    ideal = model.symplectic_ideal()
     terms = {}
     for i in range(g):
         if not lams[i]:
@@ -396,10 +364,8 @@ def point_push_tau(model, lambdas, k):
         if w is not None:
             raise WeightTooLowError(
                 "push word %d has weight %d < %d" % (i + 1, w, k), weight=w)
-        e = ideal.reduce(e).vector
-        if not e.is_zero():
-            terms[g + i] = -e
-    return TauValue(model, k, free=False, terms=terms)
+        terms[g + i] = -e
+    return TauValue(model, k, False, terms)
 
 
 def push_tuple_of(f):

@@ -298,11 +298,12 @@ def walk(series, n, ideal=None):
         if ideal is None:
             yield k, e
             return
-        q = ideal.reduce(e)
-        if q.torsion:
+        torsion = ideal.level(k).torsion
+        if torsion:
             raise UnexpectedTorsionError(
-                "torsion %r in the quotient at weight %d" % (q.torsion, k),
+                "torsion %r in the quotient at weight %d" % (torsion, k),
                 weight=k)
+        q = ideal.reduce(e)
         if not q.is_zero():
             yield k, q
             return

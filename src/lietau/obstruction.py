@@ -84,7 +84,7 @@ def grade_decompose(value, lagrangian):
     cols = list(zip(*adapt_symplectic_basis(lagrangian)))  # x_i, then y_i
     coords = ([[-v for v in dual(y)] for y in cols[g:]]
               + [dual(x) for x in cols[:g]])
-    total = _change_letters(value, coords).renormalize()
+    total = _change_letters(value, coords)
     components = {}
     for m, e in total.terms.items():
         base = 1 if m < g else 0

@@ -133,11 +133,14 @@ def tau_json(tv):
 def parse_tau(obj, model):
     from .johnson import TauValue
     from .lie import lie_from_json
+    if not isinstance(obj, dict) or "k" not in obj or "terms" not in obj:
+        raise PreconditionError('Johnson value JSON needs "k" and "terms"')
     k = parse_int(obj["k"])
     terms = {}
-    for name, lj in obj["terms"]:
-        m = model.alphabet.index[name]
-        terms[m] = lie_from_json(lj, model.alphabet)
-    value = TauValue(model, k, bool(obj.get("free", False)), terms)
-    # reduced values always live in quotient normal form
-    return value if value.free else value.renormalize()
+    for name, lj in (_iterable(p, "a term pair")
+                     for p in _iterable(obj["terms"], '"terms"')):
+        if not isinstance(name, str) or name not in model.alphabet.index:
+            raise UnknownGeneratorError(
+                "unknown generator %r in terms" % (name,))
+        terms[model.alphabet.index[name]] = lie_from_json(lj, model.alphabet)
+    return TauValue(model, k, bool(obj.get("free", False)), terms)

@@ -15,7 +15,7 @@ from braidgen import (commutator_braid, depth_two_braid, elementary_braids_g3,
                       search_push_tuples_g2)
 from liegen import random_like
 from lietau.hall import enumerate_trees, hall_basis, witt
-from lietau.johnson import (HomValue, TauValue, boundary_twist,
+from lietau.johnson import (TauValue, boundary_twist,
                             braid_automorphism, eta, eta_inverse,
                             johnson_depth, jprime_depth, point_push_tau,
                             tau, tau1)
@@ -184,7 +184,7 @@ def test_criterion_6_johnson_algebra():
             k = rng.choice([2, 3, 4])
             m = model(g)
             vals = {mm: random_like(k, 2 * g, rng) for mm in range(2 * g)}
-            h = HomValue(m, k, vals, reduced=False)
+            h = TauValue(m, k, True, vals)
             assert eta(eta_inverse(h)) == h
             tv = TauValue(m, k, True,
                           {mm: random_like(k, 2 * g, rng) for mm in range(2 * g)})

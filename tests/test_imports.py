@@ -44,7 +44,7 @@ PUBLIC = {
                    "invariant_lagrangian_report",
                    "invariant_lagrangian_search", "is_invariant",
                    "is_symplectic", "omega"],
-    "johnson": ["DEFAULT_CAP", "HomValue", "MappingClassData", "TauValue",
+    "johnson": ["DEFAULT_CAP", "MappingClassData", "TauValue",
                 "boundary_twist", "braid_automorphism", "eta", "eta_inverse",
                 "identity_mapping_class", "johnson_depth", "jprime_depth",
                 "point_push_tau", "push_tuple_of", "sigma", "tau", "tau1"],
@@ -156,7 +156,7 @@ def test_matrix_check_skips_johnson_layers():
 
 def test_all_lists_the_public_names():
     names = [nm for names in PUBLIC.values() for nm in names]
-    assert len(names) + len(SUBMODULES) == 92
+    assert len(names) + len(SUBMODULES) == 91
     assert lietau.__all__ == sorted(names + SUBMODULES)
     assert set(lietau.__all__) <= set(dir(lietau))
 

@@ -8,7 +8,7 @@ from liegen import random_like
 from lietau.errors import (DepthTooShallowError, PreconditionError,
                            RelationViolatedError, WeightTooLowError)
 from lietau.hall import hall_basis
-from lietau.johnson import (HomValue, MappingClassData, TauValue,
+from lietau.johnson import (MappingClassData, TauValue,
                             boundary_twist, braid_automorphism, eta,
                             eta_inverse, identity_mapping_class, johnson_depth,
                             jprime_depth, point_push_tau, push_tuple_of, sigma,
@@ -82,10 +82,10 @@ def test_boundary_twist_tau_surface_zero(model_of):
 
 def test_eta_examples(model_of):
     m = model_of(2)
-    zero = HomValue(m, 2, {}, reduced=False)
+    zero = TauValue.zero(m, 2, free=True)
     assert eta_inverse(zero).is_zero()
     ell = LieElement.from_tree(hall_basis(2, 4)[0])
-    h = HomValue(m, 2, {0: ell}, reduced=False)
+    h = TauValue(m, 2, True, {0: ell})
     got = eta_inverse(h)
     # h supported on alpha_1 pulls back to -beta_1 tensor ell
     assert got.term(2) == -ell
@@ -100,7 +100,7 @@ def test_eta_is_the_signed_swap(model_of):
     for free in (True, False):
         for terms, values in pairs:
             tv = TauValue(m, 2, free, terms)
-            h = HomValue(m, 2, values, reduced=not free)
+            h = TauValue(m, 2, free, values)
             assert eta(tv) == h
             assert eta_inverse(h) == tv
 
@@ -112,6 +112,22 @@ def test_eta_of_tau_is_sigma(model_of, g3_braids):
         for k in range(2, depth + 1):
             assert eta(tau(f, k)) == sigma(f, k)
             assert eta(tau1(f, k)) == sigma(f, k, free=True)
+
+
+def test_reduced_values_stay_in_normal_form(model_of):
+    # reduction floor-reduces each pivot coordinate into [0, p), so a
+    # negated normal form is one only where every pivot is 1; genus 3,
+    # weight 6 has a block with a pivot of 2
+    m = model_of(3)
+    lv = m.symplectic_ideal().level(6)
+    tree = next(lv.blocks[key][j] for key, lat in lv.lattices.items()
+                for j in lat.pivots if lat.pivot(j) > 1)
+    e = LieElement.from_tree(tree)
+    v = TauValue(m, 6, True, {0: e, 3: e}).renormalize()
+    assert v.term(0) == e
+    for op in (TauValue.__neg__, eta, eta_inverse, lambda x: x + x):
+        x = op(v)
+        assert x == TauValue(m, 6, True, x.terms).renormalize()
 
 
 def test_push_word_over_b_alphabet_is_refused(model_of):
@@ -130,11 +146,13 @@ def test_eta_round_trips(model_of):
         for k in (2, 3, 4):
             for _ in range(5):
                 vals = {mm: random_like(k, 2 * g, rng) for mm in range(2 * g)}
-                h = HomValue(m, k, vals, reduced=False)
+                h = TauValue(m, k, True, vals)
                 assert eta(eta_inverse(h)) == h
                 terms = {mm: random_like(k, 2 * g, rng) for mm in range(2 * g)}
                 tv = TauValue(m, k, True, terms)
                 assert eta_inverse(eta(tv)) == tv
+                for v in (tv, tv.renormalize()):
+                    assert eta_inverse(v) == -eta(v)
 
 
 def test_braid_empty_tuple_is_identity(model_of):
@@ -221,8 +239,8 @@ def test_braid_sigma_columns(model_of, g3_braids):
     assert lam is not None
     s = sigma(d.fwd, 3, free=True)
     for i in range(3):
-        assert s.value(i) == lie_class_at(lam[i], 3)
-        assert s.value(3 + i).is_zero()
+        assert s.term(i) == lie_class_at(lam[i], 3)
+        assert s.term(3 + i).is_zero()
 
 
 def test_point_push_matches_tau_on_deep_braid(model_of, g3_braids):

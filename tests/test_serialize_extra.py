@@ -1,7 +1,10 @@
 import json
 import threading
 
+import pytest
+
 from liegen import random_like
+from lietau.errors import PreconditionError, UnknownGeneratorError
 from lietau.hall import hall_basis, witt
 from lietau.johnson import boundary_twist, tau1
 from lietau.lie import bracket
@@ -20,6 +23,18 @@ def test_tau_json_roundtrip():
     assert back == value
 
 
+def test_parse_tau_refuses_malformed_json():
+    m = SurfaceModel(2)
+    zero = {"weight": 2, "terms": []}
+    for obj, error in (({"terms": []}, PreconditionError),
+                       ({"k": 2, "terms": 5}, PreconditionError),
+                       ([2, []], PreconditionError),
+                       ({"k": 2, "terms": [["zz", zero]]},
+                        UnknownGeneratorError)):
+        with pytest.raises(error):
+            parse_tau(obj, m)
+
+
 def test_mapping_class_json_roundtrip():
     m = SurfaceModel(2)
     t = boundary_twist(m)
@@ -31,7 +46,7 @@ def test_sigma_surface_reduced_on_twist():
     # every generator class of the twist dies in the closed-surface layer
     m = SurfaceModel(2)
     s = sigma(boundary_twist(m), 3)
-    assert s.reduced and s.is_zero()
+    assert not s.free and s.is_zero()
 
 
 def test_shared_caches_are_thread_safe():
