@@ -15,6 +15,8 @@ import threading
 from bisect import bisect_left
 from functools import lru_cache
 
+from .errors import PreconditionError, UnknownGeneratorError
+
 
 class HallTree:
     """leaf(i) or node(left, right); weight = number of leaves."""
@@ -217,25 +219,20 @@ def tree_to_json(t, alphabet=None):
 
 
 def tree_from_json(obj, alphabet=None):
+    """A tree from nested [left, right] pairs with leaves that are names or
+    indices of the alphabet (any index >= 0 if none is given)."""
     if isinstance(obj, list):
         if len(obj) != 2:
-            raise ValueError("tree node must have two children")
+            raise PreconditionError("not a two-child tree node: %r" % (obj,))
         return HallTree.make_node(tree_from_json(obj[0], alphabet),
                                   tree_from_json(obj[1], alphabet))
     if isinstance(obj, str):
-        if alphabet is None or obj not in alphabet.index:
-            raise ValueError("unknown generator %r" % obj)
-        return HallTree.make_leaf(alphabet.index[obj])
-    return HallTree.make_leaf(int(obj))
-
-
-def enumerate_trees(k, n):
-    """Every binary tree of weight k on n letters (not only basic ones)."""
-    if k == 1:
-        return [HallTree.make_leaf(i) for i in range(n)]
-    out = []
-    for w1 in range(1, k):
-        for u in enumerate_trees(w1, n):
-            for v in enumerate_trees(k - w1, n):
-                out.append(HallTree.make_node(u, v))
-    return out
+        i = None if alphabet is None else alphabet.index.get(obj)
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        n = obj + 1 if alphabet is None else len(alphabet)
+        i = obj if 0 <= obj < n else None
+    else:
+        raise PreconditionError("not a tree leaf name or index: %r" % (obj,))
+    if i is None:
+        raise UnknownGeneratorError("unknown generator %r" % (obj,))
+    return HallTree.make_leaf(i)

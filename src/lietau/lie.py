@@ -246,22 +246,3 @@ def x_count_split(e, g):
         i = t.x_count(g)
         parts.setdefault(i, {})[t] = c
     return {i: LieElement(e.weight, tm) for i, tm in parts.items()}
-
-
-def lie_to_json(e, alphabet=None):
-    from .hall import tree_to_json
-    return {"weight": e.weight,
-            "terms": [[c, tree_to_json(t, alphabet)] for t, c in e.sorted_terms()]}
-
-
-def lie_from_json(obj, alphabet=None):
-    from .hall import tree_from_json
-    weight = int(obj["weight"])
-    out = LieElement.zero(weight)
-    for c, tj in obj["terms"]:
-        t = tree_from_json(tj, alphabet)
-        if t.weight != weight:
-            raise ValueError("tree of weight %d in weight-%d element" % (t.weight, weight))
-        out = out + tree_to_lie(t).scale(int(c))
-    return out
-

@@ -85,32 +85,25 @@ def grade_decompose(value, lagrangian):
     coords = ([[-v for v in dual(y)] for y in cols[g:]]
               + [dual(x) for x in cols[:g]])
     total = _change_letters(value, coords)
-    components = {}
+    parts = {}
     for m, e in total.terms.items():
         base = 1 if m < g else 0
         for i, part in x_count_split(e, g).items():
-            comp = components.setdefault(base + i, {})
-            comp[m] = comp.get(m, LieElement.zero(value.k)) + part
+            parts.setdefault(base + i, {})[m] = part
     components = {i: TauValue(model, value.k, False, tm)
-                  for i, tm in components.items()}
-    components = {i: tv for i, tv in components.items() if not tv.is_zero()}
+                  for i, tm in parts.items()}
     return GradedDecomposition(model, value.k, components, total)
 
 
 def _change_letters(value, rows):
-    """The value with its tensor index and every leaf m replaced by
-    sum_j rows[j][m] letter(j)."""
+    """The value with each tensor index and leaf m replaced by sum_j
+    rows[j][m] letter(j): the rows of S^-1, an automorphism, kill no term."""
     leaves = [HallTree.make_leaf(j) for j in range(len(rows))]
     images = [LieElement(1, zip(leaves, col)) for col in zip(*rows)]
     terms = {}
     for m, e in value.terms.items():
-        col = [row[m] for row in rows]
-        if not any(col):
-            continue
         sub = substitute(e, images)
-        if sub.is_zero():
-            continue
-        for j, c in enumerate(col):
+        for j, c in enumerate(row[m] for row in rows):
             if c:
                 terms[j] = (terms[j] + sub.scale(c) if j in terms
                             else sub.scale(c))

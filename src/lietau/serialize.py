@@ -21,17 +21,15 @@ def _guard_ints(obj):
         return obj
     if isinstance(obj, int):
         return str(obj) if abs(obj) >= _BIG else obj
-    if isinstance(obj, list):
-        return [_guard_ints(v) for v in obj]
-    if isinstance(obj, tuple):
+    if isinstance(obj, (list, tuple)):
         return [_guard_ints(v) for v in obj]
     if isinstance(obj, dict):
         return {k: _guard_ints(v) for k, v in obj.items()}
     return obj
 
 
-def dumps(obj, indent=None):
-    return json.dumps(_guard_ints(obj), indent=indent, sort_keys=True)
+def dumps(obj):
+    return json.dumps(_guard_ints(obj), sort_keys=True)
 
 
 def parse_int(v):
@@ -40,14 +38,19 @@ def parse_int(v):
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        return int(v)
+        try:
+            return int(v)
+        except ValueError:
+            pass
     raise PreconditionError("expected an integer, got %r" % (v,))
 
 
-def _iterable(v, what):
-    """v, refused unless it is a JSON array."""
+def _iterable(v, what, size=None):
+    """v, refused unless it is a JSON array, of `size` items if one is given."""
     if not isinstance(v, list):
         raise PreconditionError("%s must be an array, got %r" % (what, v))
+    if size is not None and len(v) != size:
+        raise PreconditionError("%s must have %d items, got %r" % (what, size, v))
     return v
 
 
@@ -59,13 +62,8 @@ def parse_word(alphabet, obj):
     if isinstance(obj, list):
         return word_from_pairs(alphabet, [
             (n, parse_int(e))
-            for n, e in (_iterable(p, "a word pair") for p in obj)])
+            for n, e in (_iterable(p, "a word pair", 2) for p in obj)])
     raise PreconditionError("cannot parse a word from %r" % (obj,))
-
-
-def word_json(w):
-    from .words import word_to_pairs
-    return word_to_pairs(w)
 
 
 def parse_matrix(obj):
@@ -116,13 +114,37 @@ def parse_mapping_class(obj):
 
 
 def mapping_class_json(f):
+    from .words import word_to_pairs
     return {"genus": f.model.genus,
-            "images": {nm: word_json(w)
+            "images": {nm: word_to_pairs(w)
                        for nm, w in zip(f.model.alphabet.names, f.endo.images)}}
 
 
+def lie_to_json(e, alphabet):
+    from .hall import tree_to_json
+    return {"weight": e.weight,
+            "terms": [[c, tree_to_json(t, alphabet)] for t, c in e.sorted_terms()]}
+
+
+def lie_from_json(obj, alphabet):
+    """A Lie element from {"weight": k, "terms": [[c, tree], ...]}; a tree
+    need not be basic and is rewritten into Hall coordinates."""
+    from .hall import tree_from_json
+    from .lie import LieElement, tree_to_lie
+    if not isinstance(obj, dict) or "weight" not in obj or "terms" not in obj:
+        raise PreconditionError('Lie element JSON needs "weight" and "terms"')
+    weight = parse_int(obj["weight"])
+    terms = [(parse_int(c), tree_from_json(tj, alphabet))
+             for c, tj in (_iterable(p, "a Lie term", 2)
+                           for p in _iterable(obj["terms"], '"terms"'))]
+    if weight < 1 or any(t.weight != weight for _, t in terms):
+        raise PreconditionError("tree weights must equal the element's "
+                                "weight %d, which must be >= 1" % weight)
+    return sum((tree_to_lie(t).scale(c) for c, t in terms),
+               LieElement.zero(weight))
+
+
 def tau_json(tv):
-    from .lie import lie_to_json
     names = tv.model.alphabet.names
     return {"k": tv.k,
             "free": tv.free,
@@ -132,15 +154,18 @@ def tau_json(tv):
 
 def parse_tau(obj, model):
     from .johnson import TauValue
-    from .lie import lie_from_json
     if not isinstance(obj, dict) or "k" not in obj or "terms" not in obj:
         raise PreconditionError('Johnson value JSON needs "k" and "terms"')
     k = parse_int(obj["k"])
     terms = {}
-    for name, lj in (_iterable(p, "a term pair")
+    for name, lj in (_iterable(p, "a term pair", 2)
                      for p in _iterable(obj["terms"], '"terms"')):
         if not isinstance(name, str) or name not in model.alphabet.index:
             raise UnknownGeneratorError(
                 "unknown generator %r in terms" % (name,))
-        terms[model.alphabet.index[name]] = lie_from_json(lj, model.alphabet)
+        e = lie_from_json(lj, model.alphabet)
+        if e.weight != k:
+            raise PreconditionError("term of weight %d in a weight-%d value"
+                                    % (e.weight, k))
+        terms[model.alphabet.index[name]] = e
     return TauValue(model, k, bool(obj.get("free", False)), terms)

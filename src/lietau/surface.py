@@ -5,7 +5,7 @@ a_1..a_g, b_1..b_g with boundary word r0 = [a1,b1]...[ag,bg].  Closing the
 puncture imposes r0, and the associated graded Lie ring is the free Lie ring
 modulo the ideal generated by the symplectic class; filling the standard
 handlebody kills the a-generators instead, leaving the free Lie ring on the
-b-letters.
+b-letters, onto which `b_only_part` projects by `lie.substitute`.
 
 `surface_class` and `handlebody_class` take the first class that
 `magnus.walk` finds, cap by cap: modulo the symplectic ideal, correcting
@@ -18,9 +18,8 @@ import threading
 from functools import partial
 from itertools import islice
 
-from .hall import HallTree
 from .ideals import GradedIdeal
-from .lie import LieElement, bracket
+from .lie import LieElement, bracket, substitute
 from .magnus import magnus, walk
 from .words import Alphabet, Word, commutator, surface_alphabet
 
@@ -131,18 +130,9 @@ def handlebody_class(model, w, cap):
 
 
 def b_only_part(model, e):
-    """The coefficients of e on basic commutators with no a-leaves, reindexed
-    to the b alphabet; this realizes the standard-handlebody projection on
-    Hall coordinates."""
+    """The standard-handlebody projection a_i -> 0, b_i -> b_i on Hall
+    coordinates, over the b alphabet: the shift keeps the b-letters' order,
+    so a basic commutator without an a-leaf maps to its relabelled tree."""
     g = model.genus
-    out = {}
-
-    def relabel(t):
-        if t.is_leaf():
-            return HallTree.make_leaf(t.leaf - g)
-        return HallTree.make_node(relabel(t.left), relabel(t.right))
-
-    for t, c in e.terms.items():
-        if t.x_count(g) == 0:
-            out[relabel(t)] = c
-    return LieElement(e.weight, out)
+    return substitute(e, [LieElement.zero(1)] * g
+                      + [LieElement.generator(i) for i in range(g)])

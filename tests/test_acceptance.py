@@ -13,8 +13,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from braidgen import (commutator_braid, depth_two_braid, elementary_braids_g3,
                       search_push_tuples_g2)
-from liegen import random_like
-from lietau.hall import enumerate_trees, hall_basis, witt
+from liegen import enumerate_trees, random_like
+from lietau.hall import hall_basis, witt
 from lietau.johnson import (TauValue, boundary_twist,
                             braid_automorphism, eta, eta_inverse,
                             johnson_depth, jprime_depth, point_push_tau,

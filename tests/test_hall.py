@@ -3,10 +3,11 @@ import sys
 import threading
 
 import pytest
+from liegen import enumerate_trees
 
-from lietau.hall import (HallTree, basis_block, enumerate_trees, hall_basis,
-                         is_basic, mobius, tree_from_json, tree_from_str,
-                         tree_to_json, tree_to_str, witt)
+from lietau.hall import (HallTree, basis_block, hall_basis, is_basic, mobius,
+                         tree_from_json, tree_from_str, tree_to_json,
+                         tree_to_str, witt)
 from lietau.words import Alphabet
 
 

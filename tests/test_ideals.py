@@ -11,7 +11,7 @@ import pytest
 
 from liegen import random_like
 from lietau import SurfaceModel
-from lietau.hall import hall_basis, mobius, witt
+from lietau.hall import hall_basis, mobius, tree_from_str, witt
 from lietau.ideals import GradedIdeal
 from lietau.intlinalg import IntLattice, smith_divisors
 from lietau.lie import LieElement, bracket
@@ -98,6 +98,19 @@ def test_solve_in_span_reconstructs(model_of):
     for c, lift in combo:
         rebuilt = rebuilt + lie_class_at(lift, 3).scale(c)
     assert rebuilt == target
+
+
+def test_solve_in_span_is_none_off_the_span(model_of):
+    # [b1,a1] shares omega's block but is no integer multiple of omega, and
+    # [a2,a1] lies in a block the weight-2 span does not meet
+    m = model_of(2)
+    ideal = m.symplectic_ideal()
+    for s in ("[b1,a1]", "[a2,a1]"):
+        e = LieElement.from_tree(tree_from_str(s, m.alphabet))
+        assert ideal.solve_in_span(e) is None
+    omega = m.symplectic_class()
+    assert ideal.solve_in_span(omega) == [(1, m.relator)]
+    assert ideal.solve_in_span(omega.scale(2)) == [(2, m.relator)]
 
 
 def test_span_is_bracket_closed(model_of):

@@ -7,9 +7,9 @@ from lietau.hall import (HallTree, hall_basis, is_basic, tree_from_str,
                          tree_to_json)
 from lietau import lie
 from lietau.lie import (LieElement, _bracket_into, bracket, expand_associative,
-                        lie_from_json, lie_to_json, lift_word, substitute,
-                        tree_to_lie)
+                        lift_word, substitute, tree_to_lie)
 from lietau.magnus import lie_class_at
+from lietau.serialize import lie_from_json, lie_to_json
 from lietau.words import Alphabet
 
 AB2 = Alphabet(["x", "y"])

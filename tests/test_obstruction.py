@@ -4,16 +4,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from braidgen import commutator_braid
 from liegen import random_like
+from twistgen import homology_matrix, twist_a
 
 from lietau.errors import DimensionMismatchError, PreconditionError
 from lietau.intlinalg import identity_matrix, mat_mul
 from lietau.johnson import (TauValue, boundary_twist, identity_mapping_class,
                             tau, tau1)
 from lietau.lie import LieElement, bracket, substitute, x_count_split
-from lietau.obstruction import (coordinate_lagrangians, grade_decompose,
-                                obstruction_vanishes, perturbed_lagrangians,
-                                robustness_scan, scan_family,
-                                value_obstruction_vanishes)
+from lietau.obstruction import (_change_letters, coordinate_lagrangians,
+                                grade_decompose, obstruction_vanishes,
+                                perturbed_lagrangians, robustness_scan,
+                                scan_family, value_obstruction_vanishes)
 from lietau.surface import b_only_part
 from lietau.symplectic import Lagrangian, adapt_symplectic_basis, dual
 
@@ -80,6 +81,10 @@ def test_components_sum_to_total(model_of):
         total = TauValue(m, 3, False, {})
         for i in gd.grades():
             total = total + gd.component(i)
+            # a part of a normal form is a union of its blocks, so it is
+            # itself a nonzero normal form
+            assert not gd.component(i).is_zero()
+            assert gd.component(i) == gd.component(i).renormalize()
             # every component is x-count homogeneous of its grade
             for mm, e in gd.component(i).terms.items():
                 base = 1 if mm < 3 else 0
@@ -87,6 +92,22 @@ def test_components_sum_to_total(model_of):
                     assert base + t.x_count(3) == i
         assert total == gd.total
         assert 0 <= min(gd.grades()) and max(gd.grades()) <= 3 + 1
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_letter_change_is_sp_equivariant(g3_braids, i):
+    # tau_k(T f T^-1) = T_* tau_k(f) for the twist T about a_i, where T_* is
+    # the letter change by T's matrix on H_1; the value moves, and the
+    # inverse twist's matrix moves it elsewhere
+    d, b23 = g3_braids["d"], g3_braids["b23"]
+    t = twist_a(d.fwd.model, i)
+    forward, back = homology_matrix(t.fwd), homology_matrix(t.bwd)
+    for f, k in ((d.fwd, 3), (commutator_braid(d, b23).fwd, 4)):
+        value = tau(f, k)
+        moved = tau(t.fwd.compose(f).compose(t.bwd), k)
+        assert moved == _change_letters(value, forward)
+        assert moved != value
+        assert moved != _change_letters(value, back)
 
 
 def test_obstruction_identity_vanishes_everywhere(model_of):

@@ -30,9 +30,41 @@ def test_parse_tau_refuses_malformed_json():
                        ({"k": 2, "terms": 5}, PreconditionError),
                        ([2, []], PreconditionError),
                        ({"k": 2, "terms": [["zz", zero]]},
-                        UnknownGeneratorError)):
+                        UnknownGeneratorError),
+                       ({"k": 2, "terms": [["a1", zero, 1]]},
+                        PreconditionError)):
         with pytest.raises(error):
             parse_tau(obj, m)
+    # a malformed Lie element as the a1 term
+    for lie, error in (({}, PreconditionError),
+                       (5, PreconditionError),
+                       ({"weight": 2, "terms": 5}, PreconditionError),
+                       ({"weight": 2, "terms": [[1]]}, PreconditionError),
+                       ({"weight": 2, "terms": [["x", ["a1", "b1"]]]},
+                        PreconditionError),
+                       ({"weight": "w", "terms": []}, PreconditionError),
+                       ({"weight": 2, "terms": [[1, ["a1", "b1", "a2"]]]},
+                        PreconditionError),
+                       ({"weight": 3, "terms": [[1, ["a1", "b1"]]]},
+                        PreconditionError),
+                       ({"weight": 3, "terms": [[1, [["a1", "b1"], "b2"]]]},
+                        PreconditionError),
+                       ({"weight": 2, "terms": [[1, [True, "b1"]]]},
+                        PreconditionError),
+                       ({"weight": 2, "terms": [[1, ["zz", "b1"]]]},
+                        UnknownGeneratorError),
+                       ({"weight": 2, "terms": [[1, [-1, "b1"]]]},
+                        UnknownGeneratorError),
+                       ({"weight": 2, "terms": [[1, [7, "b1"]]]},
+                        UnknownGeneratorError)):
+        with pytest.raises(error):
+            parse_tau({"k": 2, "terms": [["a1", lie]]}, m)
+    # leaves may be given by index
+    e = parse_tau({"k": 2, "terms": [["a1", {"weight": 2, "terms": [
+        [1, [3, "b1"]], ["-2", ["b2", 0]]]}]]}, m)
+    assert e == parse_tau({"k": 2, "terms": [["a1", {"weight": 2, "terms": [
+        [1, ["b2", "b1"]], [-2, ["b2", "a1"]]]}]]}, m)
+    assert not e.is_zero()
 
 
 def test_mapping_class_json_roundtrip():

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from liegen import random_like
 from lietau.errors import UnknownGeneratorError
+from lietau.hall import hall_basis
 from lietau.lie import LieElement
 from lietau.magnus import lie_class_at, magnus
 from lietau.surface import b_only_part, handlebody_class, surface_class
@@ -103,6 +105,26 @@ def test_b_word_weights_agree(model_of):
             continue
         assert sc is not None and sc[0] == hb[0]
         assert b_only_part(m, sc[1].vector) == hb[1]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_b_only_part_is_the_coefficient_projection(model_of, g):
+    # the reference keeps the coefficients on basic commutators without an
+    # a-leaf and reads each as the basic commutator over b1..bg whose leaf
+    # sequence is the shifted one (distinct basic commutators of one weight
+    # have distinct leaf sequences)
+    m = model_of(g)
+    rng = random.Random(70 + g)
+    for k in range(1, 6 if g == 2 else 5):
+        over_b = {t.key[1:]: t for t in hall_basis(k, g)}
+        for _ in range(3):
+            e = random_like(k, 2 * g, rng)
+            want = LieElement(k, [
+                (over_b[tuple(i - g for i in t.key[1:])], c)
+                for t, c in e.terms.items() if t.x_count(g) == 0])
+            got = b_only_part(m, e)
+            assert got == want and got.weight == k
+            assert not want.is_zero() and len(want.terms) < len(e.terms)
 
 
 def test_drop_a(model_of):
