@@ -356,11 +356,6 @@ def test_bad_input_is_one_json_error(capsys, argv):
      "unknown-generator", "zz"),
     (["matrix-check", "--matrix", "[[1,0],[0,1]]", "--bound", "-5"],
      "precondition-violation", "bound"),
-    # a word pair of three items, and an exponent that is no integer
-    (["depth", "--map", '{"genus":1,"images":{"a1":[["a1",1,2]]}}'],
-     "precondition-violation", "a word pair"),
-    (["depth", "--map", '{"genus":1,"images":{"a1":[["a1","x"]]}}'],
-     "precondition-violation", "'x'"),
     # printed as [,x] and [y,], which no parser reads back
     (["hall", "--k", "2", "--alphabet", "x,,y"], "bad-input", "''"),
     (["hall", "--k", "2", "--alphabet", "x,y]"], "bad-input", "'y]'"),
@@ -369,6 +364,11 @@ def test_bad_input_is_one_json_error(capsys, argv):
     (["scan", "--k", "2", "--map", '{"genus":1,"images":{}}',
       "--lagrangians", '{"genus":1,"span":[[1,0]]}'],
      "precondition-violation", "--lagrangians"),
+    # a word pair of three items, and an exponent that is no integer
+    (["depth", "--map", '{"genus":1,"images":{"a1":[["a1",1,2]]}}'],
+     "precondition-violation", "a word pair"),
+    (["depth", "--map", '{"genus":1,"images":{"a1":[["a1","x"]]}}'],
+     "precondition-violation", "'x'"),
 ])
 def test_refusal_names_its_input(capsys, argv, error, named):
     code, out, err = run(capsys, *argv)
