@@ -10,9 +10,8 @@ GTM 138, section 2.4), and `int_kernel_basis` and `saturate_rows` are built
 on them.  It is the only elimination here: Hermite rows, Smith divisors
 and kernels are all read from lattices, and only the characteristic
 polynomial (Faddeev-LeVerrier, whose traces divide exactly) is computed
-beside it.  `magnus` solves Hall coordinates with a tracked `IntLattice`
-too; Fractions remain only in the number-field arithmetic of `symplectic`,
-which is rational by nature.
+beside it.  Fractions remain only in the number-field arithmetic of
+`symplectic`, which is rational by nature.
 
 Lattice rows are sparse and packed: each is one flat tuple
 ``(pivot column, pivot, column, value, ...)`` of its nonzero entries, the

@@ -198,7 +198,7 @@ def johnson_depth(f, cap=DEFAULT_CAP):
     gives the depth.
     """
     n = len(f.model.alphabet)
-    walks = [walk(_defect_series(f, i), n) for i in range(n)]
+    walks = [walk(_defect_series(f, i)) for i in range(n)]
     step = next(filter(any, islice(zip(*walks), cap)), None)
     return None if step is None else next(filter(None, step))[0]
 
@@ -297,10 +297,9 @@ def _defect_classes(f, k):
     if k < 1:
         raise PreconditionError("weight must be >= 1")
     act = f.action(k)
-    n = len(f.model.alphabet)
     out = []
     for i, name in enumerate(f.model.alphabet.names):
-        low, e = leading_class(act.defect(i), k, n)
+        low, e = leading_class(act.defect(i), k)
         if low is not None:
             raise DepthTooShallowError(
                 "defect of generator %s has weight %d < %d" % (name, low, k),
@@ -360,7 +359,7 @@ def point_push_tau(model, lambdas, k):
     for i in range(g):
         if not lams[i]:
             continue
-        w, e = leading_class(magnus(lams[i], k), k, 2 * g)
+        w, e = leading_class(magnus(lams[i], k), k)
         if w is not None:
             raise WeightTooLowError(
                 "push word %d has weight %d < %d" % (i + 1, w, k), weight=w)

@@ -14,8 +14,8 @@ memoized, each as one flat tuple ``(t1, c1, t2, c2, ...)`` of its terms: a
 pair in Hall order is the one-term tuple of its interned node, and a
 reversed pair is its flip with the sign folded into the coefficient.  One
 routine, `_bracket_into`, adds ``c * [u, v]`` into an accumulator and drops
-zeros as they occur; `bracket`, the ideal builds and the memo's own
-rewrites all go through it.
+zeros as they occur; `bracket`, the ideal builds, `magnus` and the memo's
+own rewrites all go through it.  `expand` maps into the associative ring.
 """
 
 import threading
@@ -211,6 +211,16 @@ def expand_associative(t):
             m = m2 + m1
             res[m] = res.get(m, 0) - c1 * c2
     return {m: c for m, c in res.items() if c}
+
+
+def expand(e):
+    """A Lie element's image in the free associative ring, as
+    {monomial: coefficient} without zeros, summed over its trees."""
+    out = {}
+    for t, c in e.terms.items():
+        for m, d in expand_associative(t).items():
+            out[m] = out.get(m, 0) + c * d
+    return {m: v for m, v in out.items() if v}
 
 
 def substitute(e, images):

@@ -3,14 +3,13 @@
 A generator maps to 1 + X and its inverse to the truncated geometric series
 1 - X + X^2 - ...; the map is multiplicative, and for a word lying in the
 k-th lower central term the lowest nonvanishing degree is k and that
-component is the word's class in the weight-k layer, re-expressed in the Hall
-basis by an exact integer solve against the associative expansions of basic
-commutators.  Each leaf-multidegree block keeps those expansions in an
-`IntLattice` with combination tracking, and the solve is echelon membership
-by exact pivot divisions.  That finds every Lie component's coordinates
-because the free Lie ring is a direct summand of the free associative ring
-over Z (Reutenauer, Free Lie Algebras, 1993): a component in the Lie span
-has integer Hall coordinates, so it lies in the lattice the expansions span.
+component is the word's class in the weight-k layer.  Its Hall
+coordinates come from the Dynkin-Specht-Wever identity, which inverts the
+embedding of the free Lie ring over Z in the free associative ring: the
+left-normed brackets of a degree-k Lie element's monomials, summed with
+its coefficients, give k times it (Reutenauer, Free Lie Algebras, 1993,
+ch. 1).  `component_to_lie` takes those brackets with `lie._bracket_into`
+and divides by k exactly.
 
 A word's expansion is built in one left-to-right pass over its letters,
 keeping the series S of the prefix read so far split by degree.  A letter
@@ -39,9 +38,8 @@ from functools import lru_cache, partial
 from itertools import count, islice
 
 from .errors import InternalFault, PreconditionError, UnexpectedTorsionError
-from .hall import HallTree, basis_block
-from .intlinalg import IntLattice
-from .lie import LieElement, expand_associative, substitute
+from .hall import HallTree
+from .lie import LieElement, _bracket_into, expand, substitute
 
 
 class MagnusSeries:
@@ -238,48 +236,45 @@ class NilpotentAction:
         return "NilpotentAction(cap=%d, %r)" % (self.cap, list(self.images))
 
 
-@lru_cache(maxsize=None)
-def _block_solver(k, n, mdeg):
-    """The block's trees, a {monomial: column} map numbered in order of first
-    appearance in their expansions, and an `IntLattice` holding each
-    expansion tagged by its tree's index."""
-    trees = basis_block(k, n, mdeg)
-    cols = {}
-    for t in trees:
-        for m in expand_associative(t):
-            cols.setdefault(m, len(cols))
-    lat = IntLattice(len(cols), track=True)
-    for i, t in enumerate(trees):
-        lat.add({cols[m]: c for m, c in expand_associative(t).items()}, i)
-    return trees, cols, lat
+def component_to_lie(component, k):
+    """A degree-k associative component in the Hall basis: its monomials'
+    left-normed brackets, each built from its prefix's, summed and divided
+    by k.  A remainder, or a quotient that does not expand back to the
+    component, puts the component outside the Lie span."""
+    prefixes = {}  # monomial prefix -> its left-normed bracket's terms
 
+    def add(acc, m, c):
+        """acc += c * the left-normed bracket of the monomial m."""
+        leaf = HallTree.make_leaf(m[-1])
+        if len(m) == 1:  # acc holds no term of this leaf yet
+            acc[leaf] = c
+            return
+        p = m[:-1]
+        if p not in prefixes:
+            prefixes[p] = {}
+            add(prefixes[p], p, 1)
+        for u, d in prefixes[p].items():
+            _bracket_into(acc, u, leaf, c * d)
 
-def component_to_lie(component, k, n):
-    """Re-express a degree-k associative component in the Hall basis."""
-    blocks = {}
+    total = {}
     for m, c in component.items():
         if c:
-            blocks.setdefault(tuple(sorted(m)), {})[m] = c
-    terms = {}  # blocks hold disjoint trees
-    for sig, target in blocks.items():
-        trees, cols, lat = _block_solver(k, n, sig)
-        combo = None
-        if all(m in cols for m in target):
-            combo = lat.member_combo({cols[m]: c for m, c in target.items()})
-        if combo is None:
-            raise InternalFault("degree component outside the Lie span")
-        terms.update((trees[i], c) for i, c in combo.items())
-    return LieElement._of(k, terms)
+            add(total, m, c)
+    e = LieElement._of(k, {t: v // k for t, v in total.items()})
+    if (any(v % k for v in total.values())
+            or expand(e) != {m: c for m, c in component.items() if c}):
+        raise InternalFault("degree component outside the Lie span")
+    return e
 
 
-def walk(series, n, ideal=None):
+def walk(series, ideal=None):
     """Yield None at each cap 1, 2, ... while an element's class vanishes,
     then (weight, class) once; series(c) is its series exact through c.
 
-    The least positive degree k is the free weight and the degree-k part,
-    over n letters, the class.  Modulo an ideal, a nonzero normal form is
-    the class; a zero one is undone by the inverses of the ideal's lift
-    words, whose series multiply the element's at every later cap.
+    The least positive degree k is the free weight and the degree-k part
+    the class.  Modulo an ideal, a nonzero normal form is the class; a zero
+    one is undone by the inverses of the ideal's lift words, whose series
+    multiply the element's at every later cap.
     """
     fixes = []  # words whose series multiply the element's, in order
     low = 1     # every degree below low vanishes
@@ -294,7 +289,7 @@ def walk(series, n, ideal=None):
         if k < low:
             raise InternalFault("correction did not deepen the word",
                                 weight=low - 1)
-        e = component_to_lie(s.degree_component(k), k, n)
+        e = component_to_lie(s.degree_component(k), k)
         if ideal is None:
             yield k, e
             return
@@ -323,22 +318,21 @@ def weight_of(w, cap):
     This equals the lower-central depth of the word since the Magnus
     filtration of a free group agrees with its lower central series.
     """
-    got = next(filter(None, islice(
-        walk(partial(magnus, w), len(w.alphabet)), cap)), None)
+    got = next(filter(None, islice(walk(partial(magnus, w)), cap)), None)
     return None if got is None else got[0]
 
 
-def leading_class(s, k, n):
+def leading_class(s, k):
     """(low, None) when the series s has a nonzero term in some degree below
     k, low the least of them; otherwise (None, its degree-k part as a class
-    in the weight-k layer of the free Lie ring on n letters).
+    in the weight-k layer of the free Lie ring).
 
     s must be exact through degree k; one cap-k series gives both.
     """
     low = s.min_positive_degree()
     if low is not None and low < k:
         return low, None
-    return None, component_to_lie(s.degree_component(k), k, n)
+    return None, component_to_lie(s.degree_component(k), k)
 
 
 def lie_class_at(w, k):
@@ -348,7 +342,7 @@ def lie_class_at(w, k):
     must have no nonzero terms in degrees 1..k-1.  Returns the zero element
     when the word lies deeper than k.
     """
-    low, e = leading_class(magnus(w, k), k, len(w.alphabet))
+    low, e = leading_class(magnus(w, k), k)
     if low is not None:
         raise PreconditionError(
             "word has a nonzero degree-%d term, so it is not in F_%d" % (low, k),

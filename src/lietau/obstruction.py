@@ -19,9 +19,9 @@ the ideal moves positive grades only.  So the grade-0 component is pi
 applied to the tensor index and every leaf of the reduced value.
 
 Nor does it need Hall rewriting.  The free Lie ring over Z embeds in the
-free associative ring ([u, v] -> uv - vu, as `magnus` also relies on), and
-pi commutes with that embedding, so the image dies exactly when pi kills the
-value's tensor expansion {(m, i_1, ..., i_k): c}.  A scan expands the value
+free associative ring ([u, v] -> uv - vu, `lie.expand`), and pi commutes
+with that embedding, so the image dies exactly when pi kills the value's
+tensor expansion {(m, i_1, ..., i_k): c}.  A scan expands the value
 once and applies pi to every slot of it for each Lagrangian;
 `grade_decompose` keeps the full split in Hall coordinates, which the CLI
 prints.
@@ -34,7 +34,7 @@ from math import prod
 from .errors import DimensionMismatchError, PreconditionError
 from .hall import HallTree
 from .johnson import TauValue, tau
-from .lie import LieElement, expand_associative, substitute, x_count_split
+from .lie import LieElement, expand, substitute, x_count_split
 from .symplectic import Lagrangian, adapt_symplectic_basis, dual
 
 
@@ -126,15 +126,9 @@ def value_obstruction_vanishes(value, lagrangian):
 
 
 def _tensor_expansion(value):
-    """The value in the tensor algebra: {(m, i_1, ..., i_k): c} for the
-    tensor index m and the monomials of each Hall tree's expansion."""
-    out = {}
-    for m, e in value.terms.items():
-        for t, c in e.terms.items():
-            for mono, d in expand_associative(t).items():
-                key = (m,) + mono
-                out[key] = out.get(key, 0) + c * d
-    return {key: c for key, c in out.items() if c}
+    """The value in the tensor algebra, {(m, i_1, ..., i_k): c} for index m."""
+    return {(m,) + mono: c for m, e in value.terms.items()
+            for mono, c in expand(e).items()}
 
 
 def _image_vanishes(expansion, lagrangian):

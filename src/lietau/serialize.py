@@ -157,6 +157,9 @@ def parse_tau(obj, model):
     if not isinstance(obj, dict) or "k" not in obj or "terms" not in obj:
         raise PreconditionError('Johnson value JSON needs "k" and "terms"')
     k = parse_int(obj["k"])
+    free = obj.get("free", False)
+    if not isinstance(free, bool):
+        raise PreconditionError('"free" must be true or false: %r' % (free,))
     terms = {}
     for name, lj in (_iterable(p, "a term pair", 2)
                      for p in _iterable(obj["terms"], '"terms"')):
@@ -168,4 +171,4 @@ def parse_tau(obj, model):
             raise PreconditionError("term of weight %d in a weight-%d value"
                                     % (e.weight, k))
         terms[model.alphabet.index[name]] = e
-    return TauValue(model, k, bool(obj.get("free", False)), terms)
+    return TauValue(model, k, free, terms)

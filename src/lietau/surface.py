@@ -114,7 +114,7 @@ def surface_class(model, w, cap):
         series = partial(magnus, w)
     else:
         series = w
-    steps = walk(series, len(model.alphabet), model.symplectic_ideal())
+    steps = walk(series, model.symplectic_ideal())
     return next(filter(None, islice(steps, cap)), None)
 
 
@@ -125,7 +125,7 @@ def handlebody_class(model, w, cap):
     the first class `walk` finds within caps 1..cap.
     Returns (weight, LieElement over the b alphabet) or None.
     """
-    steps = walk(partial(magnus, model.drop_a(w)), model.genus)
+    steps = walk(partial(magnus, model.drop_a(w)))
     return next(filter(None, islice(steps, cap)), None)
 
 

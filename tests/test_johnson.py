@@ -5,6 +5,7 @@ import pytest
 from braidgen import (commutator_braid, reduced_b_words,
                       search_push_tuples_g2)
 from liegen import random_like
+from twistgen import separating_twist
 from lietau.errors import (DepthTooShallowError, PreconditionError,
                            RelationViolatedError, WeightTooLowError)
 from lietau.hall import hall_basis
@@ -321,8 +322,9 @@ def test_tau1_lies_in_the_bracket_kernel(model_of, g3_braids):
     t2, t3 = boundary_twist(model_of(2)), boundary_twist(model_of(3))
     c, d = g3_braids["c"].fwd, g3_braids["d"].fwd
     d_a23 = commutator_braid(g3_braids["d"], g3_braids["b23"]).fwd
+    s1, s2 = (separating_twist(model_of(3), h) for h in (1, 2))
     cases = [(t2, 3), (t3, 3), (c, 2), (d, 3), (d_a23, 4),
-             (d.compose(d), 3), (t3.compose(d), 3)]
+             (d.compose(d), 3), (t3.compose(d), 3), (s1, 3), (s2, 3)]
     for f, k in cases:
         value = tau1(f, k)
         assert value.terms and _contraction(value).is_zero()
@@ -330,6 +332,26 @@ def test_tau1_lies_in_the_bracket_kernel(model_of, g3_braids):
             doubled = TauValue(value.model, k, True,
                                {**value.terms, j: e.scale(2)})
             assert not _contraction(doubled).is_zero()
+
+
+def test_separating_twist_sigma_brackets_with_omega_h(model_of):
+    # the twist about gamma_h = [a1,b1]...[ah,bh] has defect
+    # [gamma_h, x] on a letter x of the first h handles and none elsewhere,
+    # so sigma_3 sends x to [omega_h, x] there, omega_h = sum over i <= h
+    # of [alpha_i, beta_i], and to 0 elsewhere; h = g is the boundary twist
+    for g in (2, 3):
+        m = model_of(g)
+        for h in range(1, g + 1):
+            omega_h = LieElement.zero(2)
+            for i in range(h):
+                omega_h = omega_h + bracket(LieElement.generator(i),
+                                            LieElement.generator(g + i))
+            letters = [*range(h), *range(g, g + h)]
+            want = {j: bracket(omega_h, LieElement.generator(j))
+                    for j in letters}
+            f = separating_twist(m, h)
+            assert sigma(f, 3, free=True) == TauValue(m, 3, True, want)
+        assert separating_twist(m, g) == boundary_twist(m)
 
 
 def test_jprime_at_least_johnson(model_of, g3_braids):

@@ -6,8 +6,8 @@ from liegen import random_like
 from lietau.hall import (HallTree, hall_basis, is_basic, tree_from_str,
                          tree_to_json)
 from lietau import lie
-from lietau.lie import (LieElement, _bracket_into, bracket, expand_associative,
-                        lift_word, substitute, tree_to_lie)
+from lietau.lie import (LieElement, _bracket_into, bracket, expand,
+                        expand_associative, lift_word, substitute, tree_to_lie)
 from lietau.magnus import lie_class_at
 from lietau.serialize import lie_from_json, lie_to_json
 from lietau.words import Alphabet
@@ -71,15 +71,6 @@ def test_bracket_output_is_basic():
             assert is_basic(t)
 
 
-def _associative(terms):
-    """sum of c * expand_associative(t) over (t, c), without zeros."""
-    out = {}
-    for t, c in terms:
-        for m, d in expand_associative(t).items():
-            out[m] = out.get(m, 0) + c * d
-    return {m: c for m, c in out.items() if c}
-
-
 def _commutator(p, q):
     """pq - qp for {monomial: coeff} maps."""
     out = {}
@@ -127,7 +118,7 @@ def test_bracket_into_adds_the_associative_commutator():
                 _bracket_into(fresh, a, b, c)
                 assert all(is_basic(t) and t.weight == w and d
                            for t, d in fresh.items())
-                assert _associative(fresh.items()) == _plus({}, want, c)
+                assert expand(LieElement(w, fresh)) == _plus({}, want, c)
                 basis = hall_basis(w, n)
                 start = {t: rng.choice((1, -2, 3))
                          for t in rng.sample(basis, min(3, len(basis)))}
@@ -139,8 +130,8 @@ def test_bracket_into_adds_the_associative_commutator():
                 assert 0 not in acc.values()
                 assert not any(t in acc for t in gone)
                 cancelled += len(gone)
-                assert _associative(acc.items()) == _plus(
-                    _associative(start.items()), want, c)
+                assert expand(LieElement(w, acc)) == _plus(
+                    expand(LieElement(w, start)), want, c)
     assert routes >= {"direct", "reversed", "rewritten"}
     assert cancelled
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from liegen import random_like
+from liegen import block_lattice_solve, random_like
 from lietau.errors import InternalFault, PreconditionError
 from lietau.hall import hall_basis
 from lietau.lie import LieElement, bracket, expand_associative, lift_word
@@ -195,7 +195,7 @@ def test_component_to_lie_round_trip():
         for n in range(1, 5):
             basis = hall_basis(k, n)
             for t in basis:
-                assert (component_to_lie(expand_associative(t), k, n)
+                assert (component_to_lie(expand_associative(t), k)
                         == LieElement.from_tree(t))
             for _ in range(20):
                 combo = {t: rng.randint(-9, 9)
@@ -204,10 +204,41 @@ def test_component_to_lie_round_trip():
                 for t, c in combo.items():
                     for m, v in expand_associative(t).items():
                         component[m] = component.get(m, 0) + c * v
-                assert component_to_lie(component, k, n) == LieElement(k, combo)
-    # x0 x1 alone and x0 x1 + x1 x0 lie outside the Lie span, and no
-    # weight-3 tree on the leaves 0, 0, 0 exists to expand to x0^3
+                assert component_to_lie(component, k) == LieElement(k, combo)
+    # x0 x1 alone leaves a remainder on division by 2; x0 x1 + x1 x0 has
+    # bracket sum 0, which expands to 0, and x0^3 has bracket sum 0 too
     for component, k in (({(0, 1): 1}, 2), ({(0, 1): 1, (1, 0): 1}, 2),
                          ({(0, 0, 0): 1}, 3)):
         with pytest.raises(InternalFault):
-            component_to_lie(component, k, 2)
+            component_to_lie(component, k)
+
+
+def test_component_to_lie_matches_block_lattice_solve():
+    # the Dynkin-Specht-Wever reading against exact membership in each
+    # multidegree block's lattice of expansions.  Each seeded component
+    # keeps zero entries: x0^k's, and those of a tree added and taken away
+    # again.  One monomial added once or k times then moves it off the Lie
+    # span, and both routes refuse it.
+    rng = random.Random(20261020)
+    for k in range(1, 7):
+        for n in range(1, 7):
+            basis = hall_basis(k, n)
+            for _ in range(4 if len(basis) < 100 else 2):
+                picks = rng.sample(basis, min(len(basis), 3))
+                coeffs = [rng.choice((-5, -2, -1, 1, 3, 7)) for _ in picks]
+                want = LieElement(k, zip(picks[1:], coeffs[1:]))
+                component = {}
+                for t, c in zip(picks + picks[:1],
+                                coeffs + [-c for c in coeffs[:1]]):
+                    for m, v in expand_associative(t).items():
+                        component[m] = component.get(m, 0) + c * v
+                component.setdefault((0,) * k, 0)  # no Lie term for k > 1
+                assert block_lattice_solve(component, k, n) == want
+                assert component_to_lie(component, k) == want
+                if k == 1:
+                    continue
+                m = rng.choice(sorted(component))
+                component[m] += rng.choice((1, k))
+                assert block_lattice_solve(component, k, n) is None
+                with pytest.raises(InternalFault):
+                    component_to_lie(component, k)

@@ -35,6 +35,13 @@ def test_parse_tau_refuses_malformed_json():
                         PreconditionError)):
         with pytest.raises(error):
             parse_tau(obj, m)
+    # "free" is JSON true or false, or absent for false
+    for free in ("false", "no", "true", 2, 1, 0, None, [], {}):
+        with pytest.raises(PreconditionError):
+            parse_tau({"k": 2, "free": free, "terms": []}, m)
+    for free, want in ((True, True), (False, False)):
+        assert parse_tau({"k": 2, "free": free, "terms": []}, m).free is want
+    assert parse_tau({"k": 2, "terms": []}, m).free is False
     # a malformed Lie element as the a1 term
     for lie, error in (({}, PreconditionError),
                        (5, PreconditionError),
