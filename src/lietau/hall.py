@@ -15,7 +15,7 @@ import threading
 from bisect import bisect_left
 from functools import lru_cache
 
-from .errors import PreconditionError, UnknownGeneratorError
+from .errors import InternalFault, PreconditionError, UnknownGeneratorError
 
 
 class HallTree:
@@ -137,7 +137,7 @@ def witt(k, g):
     total = sum(mobius(d) * g ** (k // d) for d in divisors(k))
     q, r = divmod(total, k)
     if r:
-        raise AssertionError("Witt sum not divisible by k")
+        raise InternalFault("Witt sum not divisible by k = %d" % k)
     return q
 
 
@@ -181,35 +181,17 @@ def tree_to_str(t, alphabet=None):
 
 
 def tree_from_str(s, alphabet):
-    """Parse the nested bracket form over a given alphabet."""
-    s = s.replace(" ", "")
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if pos < len(s) and s[pos] == "[":
-            pos += 1
-            left = parse()
-            if pos >= len(s) or s[pos] != ",":
-                raise ValueError("expected ',' at %d in %r" % (pos, s))
-            pos += 1
-            right = parse()
-            if pos >= len(s) or s[pos] != "]":
-                raise ValueError("expected ']' at %d in %r" % (pos, s))
-            pos += 1
-            return HallTree.make_node(left, right)
-        start = pos
-        while pos < len(s) and s[pos] not in ",]":
-            pos += 1
-        name = s[start:pos]
-        if name not in alphabet.index:
-            raise ValueError("unknown generator %r" % name)
-        return HallTree.make_leaf(alphabet.index[name])
-
-    t = parse()
-    if pos != len(s):
-        raise ValueError("trailing input in %r" % s)
-    return t
+    """The tree of the nested bracket form over a given alphabet.  That form
+    is the JSON form with its names unquoted, so each name is quoted and
+    `tree_from_json` reads the result, refusing malformed input."""
+    import json
+    import re
+    try:
+        obj = json.loads(re.sub(r"[^\[\],]+", lambda m: json.dumps(m.group()),
+                                s.replace(" ", "")))
+    except json.JSONDecodeError:
+        raise PreconditionError("not a bracketed tree: %r" % (s,)) from None
+    return tree_from_json(obj, alphabet)
 
 
 def tree_to_json(t, alphabet=None):

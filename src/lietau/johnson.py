@@ -46,7 +46,7 @@ class MappingClassData:
     The image words (key None) and the action at each cap are cached on
     every class of a composition tree, under its own lock.  A composite's
     words are built only when `endo` is read: by equality, hashing and
-    repr, `defect`, `push_tuple_of` and `serialize.mapping_class_json`.
+    repr, `defect` and `push_tuple_of`.
     """
 
     def __init__(self, model, endo):
@@ -260,12 +260,16 @@ class TauValue:
         return not self.terms
 
     def __eq__(self, other):
-        return (isinstance(other, TauValue) and self.k == other.k
-                and self.free == other.free and self.terms == other.terms)
+        return (isinstance(other, TauValue)
+                and self.model.genus == other.model.genus
+                and self.k == other.k and self.free == other.free
+                and self.terms == other.terms)
 
     def __add__(self, other):
-        if self.k != other.k or self.free != other.free:
-            raise ValueError("cannot add values of different weight or kind")
+        if (self.model.genus != other.model.genus or self.k != other.k
+                or self.free != other.free):
+            raise ValueError("cannot add values of different genus, weight "
+                             "or kind")
         tm = dict(self.terms)
         for m, e in other.terms.items():
             tm[m] = tm[m] + e if m in tm else e

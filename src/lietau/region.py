@@ -7,6 +7,7 @@ contribute, which is a sum of Witt numbers over sub-braid layers.
 
 from math import comb
 
+from .errors import InternalFault
 from .hall import witt
 
 
@@ -42,8 +43,8 @@ def region_rhs(k, g):
     if g < 3:
         return 0
     rhs = purebraid_rank(k, g)
-    if k == 2:
-        assert rhs == comb(g, 3)
+    if k == 2 and rhs != comb(g, 3):
+        raise InternalFault("pure-braid rank at k = 2 is not C(%d, 3)" % g)
     return rhs
 
 

@@ -1,8 +1,8 @@
-"""JSON interchange for the domain values.
-
-JSON is the single interchange format; integers whose magnitude exceeds
-53 bits are emitted as decimal strings so lossy consumers cannot corrupt
-them, and the parsers accept both representations.
+"""JSON interchange for the CLI: a reader for each input it takes
+(`parse_mapping_class`, `parse_lagrangian`, `parse_matrix`) and a writer
+for each value it prints (`tau_json`, `lagrangian_json`), and no others.
+Integers whose magnitude exceeds 53 bits are emitted as decimal strings so
+lossy consumers cannot corrupt them, and the parsers accept both forms.
 
 Only `json` and `errors` load with this module: each parser and formatter
 imports the layers it reads, so a CLI call that never reads a mapping class
@@ -113,35 +113,10 @@ def parse_mapping_class(obj):
     return MappingClassData(model, endo)
 
 
-def mapping_class_json(f):
-    from .words import word_to_pairs
-    return {"genus": f.model.genus,
-            "images": {nm: word_to_pairs(w)
-                       for nm, w in zip(f.model.alphabet.names, f.endo.images)}}
-
-
 def lie_to_json(e, alphabet):
     from .hall import tree_to_json
     return {"weight": e.weight,
             "terms": [[c, tree_to_json(t, alphabet)] for t, c in e.sorted_terms()]}
-
-
-def lie_from_json(obj, alphabet):
-    """A Lie element from {"weight": k, "terms": [[c, tree], ...]}; a tree
-    need not be basic and is rewritten into Hall coordinates."""
-    from .hall import tree_from_json
-    from .lie import LieElement, tree_to_lie
-    if not isinstance(obj, dict) or "weight" not in obj or "terms" not in obj:
-        raise PreconditionError('Lie element JSON needs "weight" and "terms"')
-    weight = parse_int(obj["weight"])
-    terms = [(parse_int(c), tree_from_json(tj, alphabet))
-             for c, tj in (_iterable(p, "a Lie term", 2)
-                           for p in _iterable(obj["terms"], '"terms"'))]
-    if weight < 1 or any(t.weight != weight for _, t in terms):
-        raise PreconditionError("tree weights must equal the element's "
-                                "weight %d, which must be >= 1" % weight)
-    return sum((tree_to_lie(t).scale(c) for c, t in terms),
-               LieElement.zero(weight))
 
 
 def tau_json(tv):
@@ -150,25 +125,3 @@ def tau_json(tv):
             "free": tv.free,
             "terms": [[names[m], lie_to_json(e, tv.model.alphabet)]
                       for m, e in sorted(tv.terms.items())]}
-
-
-def parse_tau(obj, model):
-    from .johnson import TauValue
-    if not isinstance(obj, dict) or "k" not in obj or "terms" not in obj:
-        raise PreconditionError('Johnson value JSON needs "k" and "terms"')
-    k = parse_int(obj["k"])
-    free = obj.get("free", False)
-    if not isinstance(free, bool):
-        raise PreconditionError('"free" must be true or false: %r' % (free,))
-    terms = {}
-    for name, lj in (_iterable(p, "a term pair", 2)
-                     for p in _iterable(obj["terms"], '"terms"')):
-        if not isinstance(name, str) or name not in model.alphabet.index:
-            raise UnknownGeneratorError(
-                "unknown generator %r in terms" % (name,))
-        e = lie_from_json(lj, model.alphabet)
-        if e.weight != k:
-            raise PreconditionError("term of weight %d in a weight-%d value"
-                                    % (e.weight, k))
-        terms[model.alphabet.index[name]] = e
-    return TauValue(model, k, free, terms)

@@ -81,6 +81,8 @@ class Lagrangian:
     __slots__ = ("genus", "rows")
 
     def __init__(self, genus, spanning_rows):
+        if genus < 1:
+            raise PreconditionError("genus must be >= 1, got %d" % genus)
         rows = [list(map(int, r)) for r in spanning_rows]
         if any(len(r) != 2 * genus for r in rows):
             raise DimensionMismatchError("spanning vectors must have length 2g")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lietau.cli import main
 from lietau.serialize import dumps, parse_int, parse_lagrangian, parse_word
@@ -340,6 +343,9 @@ def test_domain_error_exit_code(capsys):
     ["tau", "--k", "2", "--map", '{"genus":1,"images":{"a1":[[["x"],1]]}}'],
     ["scan", "--k", "2", "--map", '{"genus":1,"images":{}}',
      "--lagrangians", '{"genus":1,"span":[[1,0]]}'],
+    # a Lagrangian of no genus
+    ["obstruct", "--k", "2", "--map", '{"genus":2,"images":{}}',
+     "--lagrangian", '{"genus": -1, "span": []}'],
 ])
 def test_bad_input_is_one_json_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -369,6 +375,9 @@ def test_bad_input_is_one_json_error(capsys, argv):
      "precondition-violation", "a word pair"),
     (["depth", "--map", '{"genus":1,"images":{"a1":[["a1","x"]]}}'],
      "precondition-violation", "'x'"),
+    (["obstruct", "--k", "2", "--map", '{"genus":2,"images":{}}',
+      "--lagrangian", '{"genus": -1, "span": []}'],
+     "precondition-violation", "genus must be >= 1"),
 ])
 def test_refusal_names_its_input(capsys, argv, error, named):
     code, out, err = run(capsys, *argv)
@@ -477,3 +486,141 @@ def test_deeply_nested_json_is_bad_json(tmp_path, capsys, option):
     assert (code, out) == (1, "")
     assert "Traceback" not in err
     assert json.loads(err)["error"] == "bad-json"
+
+
+@pytest.mark.parametrize("argv", [["witt", "4", "2"],
+                                  ["region", "--kmax", "2", "--gmax", "3"]],
+                         ids=lambda a: a[0])
+def test_failed_self_check_is_one_internal_fault(capsys, monkeypatch, argv):
+    # a wrong Mobius value leaves the Witt sum at k = 4, g = 2 indivisible
+    # (16 + 4 + 2), and a wrong pure-braid rank misses C(3, 3) at k = 2
+    from lietau import hall, region
+    monkeypatch.setattr(hall, "mobius", lambda d: 1)
+    monkeypatch.setattr(region, "purebraid_rank", lambda k, g: 0)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "internal-fault"
+
+
+# the CLI contract over a bounded argv grammar: small genera, weights and
+# matrices, so every call is cheap, mixed with invalid input of every kind
+def _twist_json(genus):
+    from lietau.johnson import boundary_twist
+    m = SurfaceModel(genus)
+    return json.dumps({"genus": genus, "images": {
+        nm: word_to_str(w)
+        for nm, w in zip(m.alphabet.names, boundary_twist(m).endo.images)}})
+
+
+_MAPS = ([json.dumps({"genus": g, "images": {}}) for g in (1, 2, 3)]
+         + [_twist_json(g) for g in (1, 2, 3)] + [SCAN_MAP])
+_BAD_MAPS = ['{"genus":2,"images":{"a1":"b1"}}',
+             '{"genus":2,"images":{"zz":"a1"}}',
+             '{"genus":2,"images":{"a1":"a1 q1"}}',
+             '{"genus":0,"images":{}}', '{"genus":-1,"images":{}}',
+             '{"genus":"x"}', '{"genus":', '[1, 2]', "{}",
+             "no-such-map.json", "."]
+_NOT_INTS = ["x", "1.5", "", "two", "0x3"]
+
+
+def _mostly(good, bad):
+    """good three times in four, else bad."""
+    return st.integers(0, 3).flatmap(lambda r: good if r else bad)
+
+
+def _int_arg(lo, hi):
+    return _mostly(st.integers(lo, hi).map(str), st.sampled_from(_NOT_INTS))
+
+
+def _lagrangian_json():
+    def make(genus, rows):
+        return json.dumps({"genus": genus, "span": rows})
+    standard = st.integers(1, 3).map(lambda g: make(g, [
+        [int(i == j) for i in range(2 * g)] for j in range(g)]))
+    rows = st.integers(-1, 3).flatmap(lambda g: st.tuples(
+        st.just(g), st.lists(st.lists(st.integers(-2, 2), min_size=max(0, 2 * g),
+                                      max_size=max(0, 2 * g)),
+                             max_size=3)))
+    return _mostly(standard, st.one_of(
+        rows.map(lambda p: make(*p)),
+        st.sampled_from(['{"genus":2}', '{"genus":2,"span":5}',
+                         '[{"genus":1}]', '{"genus":1,"span":[[1,'])))
+
+
+def _matrix_json():
+    square = st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        min_size=n, max_size=n))
+    ragged = st.lists(st.lists(st.integers(-3, 3), max_size=6), max_size=6)
+    goldens = st.sampled_from(sorted(m for m, _ in MATRIX_GOLDENS.values()))
+    return st.one_of(square.map(json.dumps), ragged.map(json.dumps), goldens,
+                     st.sampled_from(['[[1,0],[0,"x"]]', "[[1,0],[0,1]", "{}"]))
+
+
+def _opt(flag, values):
+    """[flag, value], or nothing."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+_MAP = _mostly(st.sampled_from(_MAPS), st.sampled_from(_BAD_MAPS))
+_K = _int_arg(-1, 4)
+_GENUS = _int_arg(-1, 3)
+
+_ARGV = st.one_of(
+    st.tuples(st.just(["witt"]), _K.map(lambda v: [v]),
+              _int_arg(-1, 6).map(lambda v: [v])),
+    st.tuples(st.just(["hall", "--k"]), _K.map(lambda v: [v]),
+              st.one_of(_GENUS.map(lambda v: ["--genus", v]),
+                        st.sampled_from(["x,y", "x,y,z", "a1,b1,a2", "x,,y",
+                                         "x,y z", "x,x", "y]"]).map(
+                            lambda v: ["--alphabet", v]),
+                        st.just([]))),
+    st.tuples(st.just(["rank", "--k"]), _K.map(lambda v: [v]),
+              _GENUS.map(lambda v: ["--genus", v]),
+              _opt("--ring", st.sampled_from(["free", "surface", "handlebody",
+                                              "torus"]))),
+    st.tuples(st.just(["depth", "--map"]), _MAP.map(lambda v: [v]),
+              _opt("--cap", _int_arg(-1, 5))),
+    st.tuples(st.just(["tau", "--k"]), _K.map(lambda v: [v, "--map"]),
+              _MAP.map(lambda v: [v]), st.sampled_from([[], ["--free"]])),
+    st.tuples(st.just(["obstruct", "--k"]), _K.map(lambda v: [v, "--map"]),
+              _MAP.map(lambda v: [v, "--lagrangian"]),
+              _lagrangian_json().map(lambda v: [v])),
+    st.tuples(st.just(["scan", "--k"]), _K.map(lambda v: [v, "--map"]),
+              _MAP.map(lambda v: [v]), _opt("--height", _int_arg(-1, 2)),
+              _opt("--lagrangians", st.lists(_lagrangian_json(), max_size=2)
+                   .map(lambda ls: "[%s]" % ",".join(ls)))),
+    st.tuples(st.just(["region"]), _opt("--kmax", _int_arg(-1, 8)),
+              _opt("--gmax", _int_arg(-1, 8)),
+              _opt("--format", st.sampled_from(["table", "json", "csv",
+                                                "xml"]))),
+    st.tuples(st.just(["matrix-check", "--matrix"]),
+              _matrix_json().map(lambda v: [v]),
+              _opt("--bound", _int_arg(-1, 64))),
+).map(lambda parts: [a for part in parts for a in part])
+
+
+def _call(argv):
+    """main in this process, with its exit code and output: `capsys` is
+    function-scoped, so hypothesis cannot reuse it across examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARGV)
+def test_cli_contract_holds_for_every_argv(argv):
+    code, out, err = _call(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == "" and err.count("\n") == 1, (argv, err)
+        assert "error" in json.loads(err)
+    elif code == 0:
+        assert _call(argv) == (0, out, err)

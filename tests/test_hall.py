@@ -8,7 +8,8 @@ from liegen import enumerate_trees
 from lietau.hall import (HallTree, basis_block, hall_basis, is_basic, mobius,
                          tree_from_json, tree_from_str, tree_to_json,
                          tree_to_str, witt)
-from lietau.words import Alphabet
+from lietau.errors import PreconditionError, UnknownGeneratorError
+from lietau.words import Alphabet, surface_alphabet
 
 
 def naive_mobius(d):
@@ -145,6 +146,59 @@ def test_tree_json_roundtrip():
     t = tree_from_str("[[y,x],y]", ab)
     assert tree_to_json(t, ab) == [["y", "x"], "y"]
     assert tree_from_json(tree_to_json(t, ab), ab) is t
+
+
+def test_tree_from_json_refuses_malformed_trees():
+    ab = surface_alphabet(2)  # a1, a2, b1, b2
+    for obj in (["a1", "b1", "a2"], [True, "b1"], [{"x": 1}, "b1"]):
+        with pytest.raises(PreconditionError):
+            tree_from_json(obj, ab)
+    for obj in (["zz", "b1"], [-1, "b1"], [7, "b1"]):
+        with pytest.raises(UnknownGeneratorError):
+            tree_from_json(obj, ab)
+    # leaves may be given by index
+    assert tree_from_json([3, "b1"], ab) is tree_from_json(["b2", "b1"], ab)
+    assert tree_from_json([["b2", 0], 2], ab) is tree_from_str(
+        "[[b2,a1],b1]", ab)
+
+
+def test_hall_trees_roundtrip_through_json():
+    ab = Alphabet(["x", "y", "z"])
+    for n in range(1, 4):
+        sub = Alphabet(ab.names[:n])
+        for k in range(1, 6):
+            for t in hall_basis(k, n):
+                assert tree_from_json(tree_to_json(t, sub), sub) is t
+                assert tree_from_json(tree_to_json(t)) is t
+
+
+def test_tree_from_str_refuses_malformed_strings():
+    ab = Alphabet(["x", "y", "z"])
+    for s in ("", "[x,y", "[x,y,z]", "x]", "[x,,y]", "[]", "[x]"):
+        with pytest.raises(PreconditionError):
+            tree_from_str(s, ab)
+    with pytest.raises(UnknownGeneratorError):
+        tree_from_str("[x,q]", ab)
+
+
+def test_tree_from_str_reads_names_json_would_quote():
+    # names that need escaping in JSON, and names that are JSON literals,
+    # read back as names and never as values
+    rng = random.Random(11)
+    ab = Alphabet(['"', "\\", "é", "true", "null", "0", "-1", 'a"b\\c'])
+
+    def random_tree(k):
+        if k == 1:
+            return HallTree.make_leaf(rng.randrange(len(ab)))
+        w = rng.randint(1, k - 1)
+        return HallTree.make_node(random_tree(w), random_tree(k - w))
+
+    trees = [t for k in range(1, 5) for t in enumerate_trees(k, 3)]
+    trees += [random_tree(rng.randint(1, 7)) for _ in range(200)]
+    for t in trees:
+        assert tree_from_str(tree_to_str(t, ab), ab) is t
+    assert tree_from_str(" [ true , 0 ] ", ab) is HallTree.make_node(
+        HallTree.make_leaf(3), HallTree.make_leaf(5))
 
 
 def test_interning_identity():

@@ -16,6 +16,7 @@ from lietau.johnson import (MappingClassData, TauValue,
                             tau, tau1)
 from lietau.lie import LieElement, bracket
 from lietau.magnus import lie_class_at
+from lietau.surface import SurfaceModel
 from lietau.words import GroupEndomorphism, Word, commutator, word_from_str
 
 
@@ -104,6 +105,20 @@ def test_eta_is_the_signed_swap(model_of):
             h = TauValue(m, 2, free, values)
             assert eta(tv) == h
             assert eta_inverse(h) == tv
+
+
+def test_values_of_different_genera_do_not_mix(model_of):
+    m2, m3 = model_of(2), model_of(3)
+    with pytest.raises(ValueError):
+        TauValue(m2, 1, True, {}) + TauValue(
+            m3, 1, True, {5: LieElement.generator(5)})
+    assert TauValue.zero(m2, 3) != TauValue.zero(m3, 3)
+    # values compare by genus, not by model: a second genus-2 model agrees
+    e = LieElement.generator(1)
+    other = SurfaceModel(2)
+    assert TauValue(other, 1, True, {0: e}) == TauValue(m2, 1, True, {0: e})
+    assert (TauValue(other, 1, True, {0: e}) + TauValue(m2, 1, True, {0: e})
+            == TauValue(m2, 1, True, {0: e + e}))
 
 
 def test_eta_of_tau_is_sigma(model_of, g3_braids):

@@ -3,13 +3,11 @@ import random
 from hypothesis import given, strategies as st
 
 from liegen import random_like
-from lietau.hall import (HallTree, hall_basis, is_basic, tree_from_str,
-                         tree_to_json)
+from lietau.hall import HallTree, hall_basis, is_basic, tree_from_str
 from lietau import lie
 from lietau.lie import (LieElement, _bracket_into, bracket, expand,
                         expand_associative, lift_word, substitute, tree_to_lie)
 from lietau.magnus import lie_class_at
-from lietau.serialize import lie_from_json, lie_to_json
 from lietau.words import Alphabet
 
 AB2 = Alphabet(["x", "y"])
@@ -194,21 +192,3 @@ def test_substitute_identity_and_swap():
 def test_expand_associative_antisymmetry():
     t = tree_from_str("[y,x]", AB2)
     assert expand_associative(t) == {(1, 0): 1, (0, 1): -1}
-
-
-def test_lie_json_keeps_basic_trees():
-    ab = Alphabet(["x", "y", "z"])
-    for k in range(1, 6):
-        for t in hall_basis(k, 3):
-            obj = {"weight": k, "terms": [[-3, tree_to_json(t, ab)]]}
-            assert lie_from_json(obj, ab) == LieElement.from_tree(t, -3)
-
-
-def test_lie_json_roundtrip():
-    rng = random.Random(3)
-    e = random_like(3, 2, rng)
-    obj = lie_to_json(e, AB2)
-    assert lie_from_json(obj, AB2) == e
-    # non-basic trees in the input are rewritten
-    obj2 = {"weight": 2, "terms": [[1, ["x", "y"]]]}
-    assert lie_from_json(obj2, AB2) == bracket(gen(0), gen(1))

@@ -1,84 +1,25 @@
 import json
 import threading
 
-import pytest
-
 from liegen import random_like
-from lietau.errors import PreconditionError, UnknownGeneratorError
 from lietau.hall import hall_basis, witt
-from lietau.johnson import boundary_twist, tau1
+from lietau.johnson import boundary_twist
 from lietau.lie import bracket
-from lietau.serialize import (dumps, mapping_class_json, parse_mapping_class,
-                              parse_tau, tau_json)
+from lietau.serialize import dumps, parse_mapping_class
 from lietau.surface import SurfaceModel
 from lietau.johnson import sigma
+from lietau.words import word_to_pairs
 
 
-def test_tau_json_roundtrip():
+def test_parse_mapping_class_reads_word_pairs():
+    # the [[name, exponent], ...] form of every image word
     m = SurfaceModel(2)
     t = boundary_twist(m)
-    value = tau1(t, 3)
-    blob = dumps(tau_json(value))
-    back = parse_tau(json.loads(blob), m)
-    assert back == value
-
-
-def test_parse_tau_refuses_malformed_json():
-    m = SurfaceModel(2)
-    zero = {"weight": 2, "terms": []}
-    for obj, error in (({"terms": []}, PreconditionError),
-                       ({"k": 2, "terms": 5}, PreconditionError),
-                       ([2, []], PreconditionError),
-                       ({"k": 2, "terms": [["zz", zero]]},
-                        UnknownGeneratorError),
-                       ({"k": 2, "terms": [["a1", zero, 1]]},
-                        PreconditionError)):
-        with pytest.raises(error):
-            parse_tau(obj, m)
-    # "free" is JSON true or false, or absent for false
-    for free in ("false", "no", "true", 2, 1, 0, None, [], {}):
-        with pytest.raises(PreconditionError):
-            parse_tau({"k": 2, "free": free, "terms": []}, m)
-    for free, want in ((True, True), (False, False)):
-        assert parse_tau({"k": 2, "free": free, "terms": []}, m).free is want
-    assert parse_tau({"k": 2, "terms": []}, m).free is False
-    # a malformed Lie element as the a1 term
-    for lie, error in (({}, PreconditionError),
-                       (5, PreconditionError),
-                       ({"weight": 2, "terms": 5}, PreconditionError),
-                       ({"weight": 2, "terms": [[1]]}, PreconditionError),
-                       ({"weight": 2, "terms": [["x", ["a1", "b1"]]]},
-                        PreconditionError),
-                       ({"weight": "w", "terms": []}, PreconditionError),
-                       ({"weight": 2, "terms": [[1, ["a1", "b1", "a2"]]]},
-                        PreconditionError),
-                       ({"weight": 3, "terms": [[1, ["a1", "b1"]]]},
-                        PreconditionError),
-                       ({"weight": 3, "terms": [[1, [["a1", "b1"], "b2"]]]},
-                        PreconditionError),
-                       ({"weight": 2, "terms": [[1, [True, "b1"]]]},
-                        PreconditionError),
-                       ({"weight": 2, "terms": [[1, ["zz", "b1"]]]},
-                        UnknownGeneratorError),
-                       ({"weight": 2, "terms": [[1, [-1, "b1"]]]},
-                        UnknownGeneratorError),
-                       ({"weight": 2, "terms": [[1, [7, "b1"]]]},
-                        UnknownGeneratorError)):
-        with pytest.raises(error):
-            parse_tau({"k": 2, "terms": [["a1", lie]]}, m)
-    # leaves may be given by index
-    e = parse_tau({"k": 2, "terms": [["a1", {"weight": 2, "terms": [
-        [1, [3, "b1"]], ["-2", ["b2", 0]]]}]]}, m)
-    assert e == parse_tau({"k": 2, "terms": [["a1", {"weight": 2, "terms": [
-        [1, ["b2", "b1"]], [-2, ["b2", "a1"]]]}]]}, m)
-    assert not e.is_zero()
-
-
-def test_mapping_class_json_roundtrip():
-    m = SurfaceModel(2)
-    t = boundary_twist(m)
-    back = parse_mapping_class(mapping_class_json(t))
-    assert back.endo == t.endo
+    obj = {"genus": 2,
+           "images": {nm: word_to_pairs(w)
+                      for nm, w in zip(m.alphabet.names, t.endo.images)}}
+    back = parse_mapping_class(json.loads(dumps(obj)))
+    assert back == t and back.endo == t.endo
 
 
 def test_sigma_surface_reduced_on_twist():

@@ -85,6 +85,12 @@ def test_lagrangian_validation():
         Lagrangian(1, [[2, 0]])  # index 2 in its saturation
 
 
+def test_lagrangian_refuses_genus_below_one():
+    for genus in (0, -1):
+        with pytest.raises(PreconditionError):
+            Lagrangian(genus, [])
+
+
 def test_lagrangian_canonical_equality():
     l1 = Lagrangian(2, [[1, 0, 0, 1], [0, 1, 1, 0]])
     l2 = Lagrangian(2, [[1, 1, 1, 1], [0, 1, 1, 0]])  # recombined spanning set
