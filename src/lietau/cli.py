@@ -78,7 +78,7 @@ def _emit(text, end="\n"):
 
 def cmd_witt(args, cfg):
     from .hall import witt
-    _emit(str(witt(args.k, args.g)))
+    _emit(serialize.decimal(witt(args.k, args.g)))
     return 0
 
 

@@ -17,6 +17,8 @@ from functools import lru_cache
 
 from .errors import InternalFault, PreconditionError, UnknownGeneratorError
 
+_set = object.__setattr__   # HallTree's own __setattr__ refuses
+
 
 class HallTree:
     """leaf(i) or node(left, right); weight = number of leaves."""
@@ -27,55 +29,52 @@ class HallTree:
     _mdegs = {}         # multidegree -> the one tuple its trees share
     _lock = threading.Lock()
 
-    def __init__(self, *, _token=None, leaf=None, left=None, right=None):
-        if _token is not HallTree._registry:
-            raise TypeError("use HallTree.make_leaf / HallTree.make_node")
-        object.__setattr__(self, "leaf", leaf)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        if leaf is not None:
-            w = 1
-            key = (1, leaf)
-            mdeg = (leaf,)
-        else:
-            w = left.weight + right.weight
-            key = (w,) + left.key[1:] + right.key[1:]
-            mdeg = tuple(sorted(left.mdeg + right.mdeg))
-        # _create holds the lock here
-        mdeg = HallTree._mdegs.setdefault(mdeg, mdeg)
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "mdeg", mdeg)
+    def __init__(self, *a, **kw):
+        raise TypeError("use HallTree.make_leaf / HallTree.make_node")
 
     def __setattr__(self, *a):
         raise AttributeError("HallTree is immutable")
 
     @staticmethod
     def make_leaf(i):
-        i = int(i)
-        if i < 0:
-            raise ValueError("leaf index must be >= 0")
         t = HallTree._registry.get(("L", i))
         if t is not None:
             return t
-        return HallTree._create(("L", i), leaf=i)
+        i = int(i)
+        if i < 0:
+            raise ValueError("leaf index must be >= 0")
+        with HallTree._lock:
+            t = HallTree._registry.get(("L", i))
+            if t is None:
+                t = object.__new__(HallTree)
+                _set(t, "leaf", i)
+                _set(t, "left", None)
+                _set(t, "right", None)
+                _set(t, "weight", 1)
+                _set(t, "key", (1, i))
+                _set(t, "mdeg", HallTree._mdegs.setdefault((i,), (i,)))
+                HallTree._registry["L", i] = t
+        return t
 
     @staticmethod
     def make_node(left, right):
-        t = HallTree._registry.get((left, right))
+        reg = HallTree._registry
+        t = reg.get((left, right))
         if t is not None:
             return t
-        return HallTree._create((left, right), left=left, right=right)
-
-    @staticmethod
-    def _create(tok, **parts):
-        """The registry's tree for `tok`, made under the lock if no other
-        thread made it first."""
-        reg = HallTree._registry
         with HallTree._lock:
-            t = reg.get(tok)
+            t = reg.get((left, right))
             if t is None:
-                t = reg[tok] = HallTree(_token=reg, **parts)
+                t = object.__new__(HallTree)
+                w = left.weight + right.weight
+                mdeg = tuple(sorted(left.mdeg + right.mdeg))
+                _set(t, "leaf", None)
+                _set(t, "left", left)
+                _set(t, "right", right)
+                _set(t, "weight", w)
+                _set(t, "key", (w,) + left.key[1:] + right.key[1:])
+                _set(t, "mdeg", HallTree._mdegs.setdefault(mdeg, mdeg))
+                reg[left, right] = t
         return t
 
     def is_leaf(self):

@@ -31,8 +31,16 @@ that changed that block's lattice.  This gives exactly the rows and
 combinations of tracking every insertion at build time: a vector that left
 a block's lattice unchanged reduced away there by exact divisions, which
 touch neither the rows nor their combinations.
+
+`level` pauses the cyclic garbage collector while it builds missing levels
+and restores the caller's setting afterwards.  A build allocates millions of
+dicts and tuples but makes no reference cycle (a `gc.collect()` after the
+builds finds nothing unreachable), so every collection pass it would
+trigger walks the young objects for nothing; reference counting alone
+frees what a build drops.
 """
 
+import gc
 import threading
 
 from .hall import HallTree, hall_basis, witt
@@ -123,14 +131,21 @@ class GradedIdeal:
         self._lock = threading.RLock()
 
     def level(self, k):
-        """Build (and cache) the weight-k span; levels build bottom-up."""
+        """Build (and cache) the weight-k span; levels build bottom-up, with
+        the cyclic collector paused (see the module docstring)."""
         if k < 1:
             raise ValueError("weight must be >= 1")
         with self._lock:
-            for kk in range(1, k + 1):
-                if kk in self._levels:
-                    continue
-                self._levels[kk] = self._build_level(kk)
+            if k not in self._levels:
+                enabled = gc.isenabled()
+                gc.disable()
+                try:
+                    for kk in range(1, k + 1):
+                        if kk not in self._levels:
+                            self._levels[kk] = self._build_level(kk)
+                finally:
+                    if enabled:
+                        gc.enable()
             return self._levels[k]
 
     def _build_level(self, k):
@@ -155,21 +170,23 @@ class GradedIdeal:
             prev = self._levels[k - 1]
             columns = lv.columns
             leaves = [HallTree.make_leaf(i) for i in range(self.n)]
-            targets = {}        # (block key one weight down, letter) -> key
+            targets = {}        # block key one weight down -> per letter i,
+                                # the block key of [v, x_i]
             for tag, v in enumerate(prev.vectors):
                 src = prev.keys[next(iter(v.terms)).mdeg]
-                for i, leaf in enumerate(leaves):
-                    key = targets.get((src, i))
-                    if key is None:
-                        counts = list(src)
-                        counts[i] += 1
-                        key = targets[src, i] = tuple(
-                            self._grading.reduce_mod(counts))
+                keys_i = targets.get(src)
+                if keys_i is None:
+                    keys_i = targets[src] = [
+                        tuple(self._grading.reduce_mod(
+                            [c + (j == i) for j, c in enumerate(src)]))
+                        for i in range(self.n)]
+                for i, key in enumerate(keys_i):
                     if key in saturated:
                         continue
                     # [v, x_i] by trees, as `lie.bracket` builds it; kept
                     # as a copy grown entry by entry, since acc's table
                     # keeps cancelled slots and dict(acc) may oversize
+                    leaf = leaves[i]
                     acc = {}
                     for u, c in v.terms.items():
                         _bracket_into(acc, u, leaf, c)
@@ -209,14 +226,15 @@ class GradedIdeal:
 
     @staticmethod
     def _keep(lv, key, vec, saturated):
-        """Add vec, a vector's coordinates in block `key`, to that block's
+        """Add vec, a vector's coordinates in block `key` as a fresh dict
+        without zeros that the lattice may consume, to that block's
         lattice.  True iff the lattice grew; the caller then keeps the
         vector, with its lift or lift recipe, as the next tag, so the kept
         lifts always generate the span lattice over the integers."""
         lat = lv.lattices.get(key)
         if lat is None:
             lat = lv.lattices[key] = IntLattice(len(lv.blocks[key]))
-        if not lat.add(vec):
+        if not lat.add(vec, owned=True):
             return False
         lv.members.setdefault(key, []).append(len(lv.vectors))
         if lat.rank == lat.N and all(lat.pivot(j) == 1 for j in lat.pivots):

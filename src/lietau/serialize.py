@@ -3,6 +3,9 @@
 for each value it prints (`tau_json`, `lagrangian_json`), and no others.
 Integers whose magnitude exceeds 53 bits are emitted as decimal strings so
 lossy consumers cannot corrupt them, and the parsers accept both forms.
+`decimal` writes those strings, and the CLI's bare integers, with no
+bound on their length: Python refuses `str` of an int longer than its
+int-to-str limit (4,300 digits by default).
 
 Only `json` and `errors` load with this module: each parser and formatter
 imports the layers it reads, so a CLI call that never reads a mapping class
@@ -14,13 +17,44 @@ import json
 from .errors import PreconditionError, UnknownGeneratorError
 
 _BIG = 1 << 53
+_PIECE = 500                # digits; Python's int-to-str limit is >= 640
+_PIECE_POW = 10 ** _PIECE
+
+
+def decimal(n):
+    """The decimal digits of the int n, as str(n) writes them, whatever
+    Python's int-to-str limit.  Divide and conquer: n is split by
+    10^(500 * 2^i) for the largest i that leaves two parts, each part
+    converted the same way and the lower one padded with zeros, so str()
+    only ever sees pieces below 10^500."""
+    if n < 0:
+        return "-" + decimal(-n)
+    if n < _PIECE_POW:
+        return str(n)
+    pows = [_PIECE_POW]         # pows[i] = 10^(500 * 2^i) while pows[i]^2 <= n
+    while pows[-1] * pows[-1] <= n:
+        pows.append(pows[-1] * pows[-1])
+
+    def digits(m, i, width):
+        # m < pows[i]^2 (10^500 for i = -1), written in `width` digits if
+        # width is nonzero, else in as many as it needs
+        if i < 0:
+            return str(m).zfill(width)
+        hi, lo = divmod(m, pows[i])
+        size = _PIECE << i      # the digits of a part below pows[i]
+        if not hi and not width:
+            return digits(lo, i - 1, 0)
+        return (digits(hi, i - 1, width and width - size)
+                + digits(lo, i - 1, size))
+
+    return digits(n, len(pows) - 1, 0)
 
 
 def _guard_ints(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
-        return str(obj) if abs(obj) >= _BIG else obj
+        return decimal(obj) if abs(obj) >= _BIG else obj
     if isinstance(obj, (list, tuple)):
         return [_guard_ints(v) for v in obj]
     if isinstance(obj, dict):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lietau.cli import main
-from lietau.serialize import dumps, parse_int, parse_lagrangian, parse_word
+from lietau.hall import witt
+from lietau.serialize import (decimal, dumps, parse_int, parse_lagrangian,
+                              parse_word)
 from lietau.surface import SurfaceModel
 from lietau.words import word_to_str
 
@@ -624,3 +627,46 @@ def test_cli_contract_holds_for_every_argv(argv):
         assert "error" in json.loads(err)
     elif code == 0:
         assert _call(argv) == (0, out, err)
+
+
+def _str_unlimited(n):
+    """str(n) with Python's int-to-str limit lifted for the call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_matches_str_with_the_least_limit():
+    # 640 digits is the least limit Python accepts, so every piece that
+    # decimal hands to str stays below any limit
+    rng = random.Random(13)
+    values = [0, 1, -1, 10**500 - 1, 10**500, 10**1000 - 1, 10**1000,
+              10**2000 + 7, -(10**4300), 3 * 10**4301 + 12]
+    values += [rng.choice((1, -1)) * rng.randrange(10 ** rng.randint(1, 9000))
+               for _ in range(60)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = [decimal(n) for n in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == [_str_unlimited(n) for n in values]
+
+
+@pytest.mark.parametrize("argv", [
+    ["witt", "20000", "2"],
+    ["rank", "--ring", "free", "--genus", "1", "--k", "20000"]])
+def test_values_past_the_int_to_str_limit_print(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    expect = _str_unlimited(witt(20000, 2))
+    assert len(expect) > 4300   # Python's default int-to-str limit
+    if argv[0] == "witt":
+        assert out == expect + "\n"
+    else:
+        # an int above 53 bits is written as a JSON string
+        assert json.loads(out) == {"ring": "free", "k": 20000, "genus": 1,
+                                   "rank": expect, "torsion": []}

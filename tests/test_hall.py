@@ -292,3 +292,23 @@ def test_witt_validates_input():
         witt(0, 2)
     with pytest.raises(ValueError):
         mobius(0)
+
+
+def test_leaves_and_nodes_come_only_from_the_registry():
+    # a registry hit returns the leaf for any index equal to it, a miss
+    # coerces the index first, and a negative index is refused either way
+    x1 = HallTree.make_leaf(1)
+    assert HallTree.make_leaf(1.0) is HallTree.make_leaf("1") is x1
+    assert (x1.leaf, x1.weight, x1.key, x1.mdeg) == (1, 1, (1, 1), (1,))
+    for bad in (-1, "-2", -3.0):
+        with pytest.raises(ValueError):
+            HallTree.make_leaf(bad)
+    with pytest.raises(ValueError):
+        HallTree.make_leaf("x")
+    with pytest.raises(TypeError):
+        HallTree()
+    t = HallTree.make_node(x1, HallTree.make_leaf(0))
+    assert (t.left, t.right, t.weight, t.key) == (x1, HallTree.make_leaf(0),
+                                                  2, (2, 1, 0))
+    with pytest.raises(AttributeError):
+        t.weight = 3

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -412,6 +413,86 @@ def test_blocks_agree_with_whole_layer(model_of):
                 e = random_like(k, 4, rng)
                 expected = LieElement(k, zip(basis, lat.reduce_mod(coords(e))))
                 assert ideal.reduce(e).vector == expected
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_level_pauses_the_collector_and_restores_it(monkeypatch, enabled):
+    seen = []
+    build = GradedIdeal._build_level
+
+    def spy(self, k):
+        seen.append(gc.isenabled())
+        return build(self, k)
+
+    monkeypatch.setattr(GradedIdeal, "_build_level", spy)
+    ideal = SurfaceModel(2).symplectic_ideal()
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        ideal.level(3)
+        after = gc.isenabled()
+        ideal.level(3)          # built already: nothing to pause
+        cached = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 3
+    assert after is cached is enabled
+
+
+def test_level_restores_the_collector_when_a_build_raises(monkeypatch):
+    def fail(self, k):
+        raise RuntimeError("build failed")
+
+    monkeypatch.setattr(GradedIdeal, "_build_level", fail)
+    ideal = SurfaceModel(2).symplectic_ideal()
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        with pytest.raises(RuntimeError):
+            ideal.level(2)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is True
+
+
+def test_concurrent_builds_leave_the_collector_enabled():
+    # the collector's state is process-wide: each build restores what it
+    # saw, so builds racing from threads must still end with it enabled
+    ideals = [SurfaceModel(2).symplectic_ideal() for _ in range(4)]
+    start = threading.Barrier(len(ideals))
+
+    def build(ideal):
+        start.wait()
+        ideal.level(5)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in ideals]
+    was, interval = gc.isenabled(), sys.getswitchinterval()
+    gc.enable()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        after = gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+        (gc.enable if was else gc.disable)()
+    assert not any(t.is_alive() for t in threads)
+    assert after is True
+    assert len({i.level(5).rank for i in ideals}) == 1
+
+
+def test_level_builds_leave_nothing_for_the_collector():
+    # the pause in `level` rests on this: a build makes no reference cycle,
+    # so a collection during it could never free anything
+    gc.collect()
+    for g, k in ((2, 6), (3, 5)):
+        m = SurfaceModel(g)
+        for ideal in (m.symplectic_ideal(), m.handlebody_ideal()):
+            ideal.level(k)
+    assert gc.collect() == 0
 
 
 # recorded on the engine before its bracket rewrite became one routine

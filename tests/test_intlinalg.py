@@ -123,6 +123,7 @@ class DenseLattice:
 
     def __init__(self, n):
         self.n, self.rows, self.combos, self.pivots = n, [], [], []
+        self.fill_in = 0    # reduction steps that made a zero column nonzero
 
     def add(self, vec, tag):
         vec, combo, changed = list(vec), {tag: 1}, False
@@ -140,15 +141,17 @@ class DenseLattice:
                 return True
             p = self.pivots.index(j)
             row, rc = self.rows[p], self.combos[p]
-            a, b = row[j], vec[j]
+            a, b, old = row[j], vec[j], vec
             if b % a == 0:
                 vec = [v - b // a * r for r, v in zip(row, vec)]
                 _addmul(combo, rc, -(b // a))
+                self.fill_in += any(v and not o for v, o in zip(vec, old))
                 continue
             changed = True
             x, y, g = xgcd(a, b)
             self.rows[p] = [x * r + y * v for r, v in zip(row, vec)]
             vec = [-b // g * r + a // g * v for r, v in zip(row, vec)]
+            self.fill_in += any(v and not o for v, o in zip(vec, old))
             new_rc, new_combo = {}, {}
             _addmul(new_rc, rc, x)
             _addmul(new_rc, combo, y)
@@ -213,28 +216,62 @@ def _assert_packed(lat):
         assert all(vals)
 
 
+def _wide_vectors(rng, n, count, pool):
+    """Sparse random vectors of width n, one to four nonzero entries each,
+    and integer combinations of two earlier vectors (of pool or of these)."""
+    out = []
+    for _ in range(count):
+        earlier = pool + out
+        vec = [0] * n
+        if rng.random() < 0.25 and earlier:
+            for v in rng.sample(earlier, min(2, len(earlier))):
+                c = rng.randint(-2, 2)
+                vec = [x + c * y for x, y in zip(vec, v)]
+        else:
+            for j in rng.sample(range(n), rng.randint(1, 4)):
+                vec[j] = rng.choice((1, -1, 2, -3, 4, 6))
+        out.append(vec)
+    return out
+
+
 def test_sparse_rows_match_dense_reference():
     rng = random.Random(2024)
-    seen = dict.fromkeys(("zero", "member", "index_shrink", "non_unit"), 0)
-    for _ in range(80):
-        n = rng.randint(1, 9)
+    seen = dict.fromkeys(("zero", "member", "index_shrink", "non_unit",
+                          "fill_in"), 0)
+    # narrow dense-ish cases, then wide sparse ones (n up to 40) where a
+    # row subtraction brings in columns the vector lacked
+    cases = [(rng.randint(1, 9), _vectors, rng.randint(1, 12))
+             for _ in range(80)]
+    cases += [(rng.randint(10, 40), _wide_vectors, rng.randint(8, 45))
+              for _ in range(40)]
+    for n, vectors, count in cases:
         ref, lat, plain = DenseLattice(n), IntLattice(n, track=True), IntLattice(n)
-        inserted = _vectors(rng, n, rng.randint(1, 12), [])
+        owned = IntLattice(n)
+        inserted = vectors(rng, n, count, [])
         for tag, vec in enumerate(inserted):
-            rank = len(ref.pivots)
+            rank, fill_in = len(ref.pivots), ref.fill_in
             expect = ref.add(vec, tag)
             assert lat.add(vec, tag) is expect
-            assert plain.add(dict(enumerate(vec))) is expect
-            _assert_packed(lat)
-            _assert_packed(plain)
-            assert lat.matrix() == ref.rows == plain.matrix()
-            assert lat.pivots == ref.pivots == plain.pivots
+            # a dict with zeros is copied at once, one without them only
+            # when a step changes it; neither may be modified
+            given = (dict(enumerate(vec)) if tag % 2
+                     else {j: v for j, v in enumerate(vec) if v})
+            before = list(given.items())
+            assert plain.add(given) is expect
+            assert list(given.items()) == before
+            assert owned.add({j: v for j, v in enumerate(vec) if v},
+                             owned=True) is expect
+            for one in (lat, plain, owned):
+                _assert_packed(one)
+                assert one.matrix() == ref.rows
+                assert one.pivots == ref.pivots
             assert [lat.combos[j] for j in lat.pivots] == ref.combos
             seen["zero"] += not any(vec)
             seen["member"] += any(vec) and not expect
             seen["index_shrink"] += expect and len(ref.pivots) == rank
+            seen["fill_in"] += ref.fill_in > fill_in
         seen["non_unit"] += any(row[j] > 1 for row, j in zip(ref.rows, ref.pivots))
-        for vec in _vectors(rng, n, 8, inserted):
+        for vec in vectors(rng, n, 8, inserted):
             combo = ref.member_combo(vec)
             assert lat.member_combo(vec) == combo
             assert lat.contains(vec) is plain.contains(vec) is (combo is not None)
