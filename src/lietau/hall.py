@@ -83,10 +83,6 @@ class HallTree:
     def __repr__(self):
         return tree_to_str(self)
 
-    def x_count(self, g):
-        """Number of leaves among the first g letters of the alphabet."""
-        return sum(1 for i in self.mdeg if i < g)
-
 
 def is_basic(t):
     """The defining condition: at [w1,w2], w1 > w2 and, if w1 = [v1,v2], v2 <= w2."""

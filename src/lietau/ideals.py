@@ -262,9 +262,6 @@ class GradedIdeal:
         with self._lock:
             return [(e, self._lift(k, tag)) for tag, e in enumerate(lv.vectors)]
 
-    def span_rank(self, k):
-        return self.level(k).rank
-
     def quotient_rank(self, k):
         return witt(k, self.n) - self.level(k).rank
 

@@ -247,12 +247,3 @@ def substitute(e, images):
     for t, c in e.terms.items():
         out = out + sub_tree(t).scale(c)
     return out
-
-
-def x_count_split(e, g):
-    """Split by the number of leaves among the first g letters; returns {i: part}."""
-    parts = {}
-    for t, c in e.terms.items():
-        i = t.x_count(g)
-        parts.setdefault(i, {})[t] = c
-    return {i: LieElement(e.weight, tm) for i, tm in parts.items()}

@@ -105,9 +105,6 @@ class MagnusSeries:
                 best = len(m)
         return best
 
-    def is_one(self):
-        return self.coeffs == {(): 1}
-
     def __repr__(self):
         items = sorted(self.coeffs.items(), key=lambda mc: (len(mc[0]), mc[0]))
         return "MagnusSeries(cap=%d, %s)" % (self.cap, dict(items))

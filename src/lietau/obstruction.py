@@ -24,7 +24,10 @@ with that embedding, so the image dies exactly when pi kills the value's
 tensor expansion {(m, i_1, ..., i_k): c}.  A scan expands the value
 once and applies pi to every slot of it for each Lagrangian;
 `grade_decompose` keeps the full split in Hall coordinates, which the CLI
-prints.
+prints.  It splits before it reduces: `reduce` works block by block, and
+every block of the symplectic ideal has a single grade, since its grading
+lattice, spanned by e_{a_i} + e_{b_i} - e_{a_j} - e_{b_j}, keeps the count
+of the first g letters.
 """
 
 from functools import lru_cache
@@ -34,7 +37,7 @@ from math import prod
 from .errors import DimensionMismatchError, PreconditionError
 from .hall import HallTree
 from .johnson import TauValue, tau
-from .lie import LieElement, expand, substitute, x_count_split
+from .lie import LieElement, expand, substitute
 from .symplectic import Lagrangian, adapt_symplectic_basis, dual
 
 
@@ -48,17 +51,16 @@ def _check_reduced(value, lagrangian):
 
 
 class GradedDecomposition:
-    """Components of a Johnson value by kernel-letter count, in the letters
-    of a basis adapted to the Lagrangian: `total` is the value rewritten in
-    those letters and re-reduced, and the components sum back to it."""
+    """The nonzero components of a Johnson value by kernel-letter count, in
+    the letters of a basis adapted to the Lagrangian; they sum to the value
+    rewritten in those letters and reduced."""
 
-    __slots__ = ("model", "k", "components", "total")
+    __slots__ = ("model", "k", "components")
 
-    def __init__(self, model, k, components, total):
+    def __init__(self, model, k, components):
         self.model = model
         self.k = k
-        self.components = components
-        self.total = total
+        self.components = {i: v for i, v in components.items() if not v.is_zero()}
 
     def component(self, i):
         return self.components.get(i, TauValue.zero(self.model, self.k))
@@ -71,33 +73,31 @@ class GradedDecomposition:
 
 
 def grade_decompose(value, lagrangian):
-    """Split a surface-reduced value by occurrences of the Lagrangian side.
-
-    The value is rewritten in a symplectic basis adapted to the Lagrangian
-    (an integer change of letters), re-reduced modulo the symplectic ideal,
-    which is basis-invariant, and split by the total count of x-letters in
-    the tensor factor plus the Lie part.
-    """
+    """Split a surface-reduced value by occurrences of the Lagrangian side:
+    rewritten in a symplectic basis adapted to the Lagrangian (an integer
+    change of letters), split by the count of x-letters in the tensor index
+    (x_i: index < g) and in the tree, and each grade reduced modulo the
+    symplectic ideal, which is basis-invariant."""
     _check_reduced(value, lagrangian)
-    model = value.model
+    model, k = value.model, value.k
     g = model.genus
     cols = list(zip(*adapt_symplectic_basis(lagrangian)))  # x_i, then y_i
     coords = ([[-v for v in dual(y)] for y in cols[g:]]
               + [dual(x) for x in cols[:g]])
-    total = _change_letters(value, coords)
     parts = {}
-    for m, e in total.terms.items():
-        base = 1 if m < g else 0
-        for i, part in x_count_split(e, g).items():
-            parts.setdefault(base + i, {})[m] = part
-    components = {i: TauValue(model, value.k, False, tm)
-                  for i, tm in parts.items()}
-    return GradedDecomposition(model, value.k, components, total)
+    for m, e in _change_letters(value, coords).items():
+        for t, c in e.terms.items():
+            i = (m < g) + sum(1 for j in t.mdeg if j < g)
+            parts.setdefault(i, {}).setdefault(m, {})[t] = c
+    return GradedDecomposition(model, k, {
+        i: TauValue(model, k, False,
+                    {m: LieElement._of(k, tm) for m, tm in by_m.items()})
+        for i, by_m in parts.items()})
 
 
 def _change_letters(value, rows):
-    """The value with each tensor index and leaf m replaced by sum_j
-    rows[j][m] letter(j): the rows of S^-1, an automorphism, kill no term."""
+    """The value's terms, unreduced, with each tensor index and leaf m
+    replaced by sum_j rows[j][m] letter(j): the rows of S^-1."""
     leaves = [HallTree.make_leaf(j) for j in range(len(rows))]
     images = [LieElement(1, zip(leaves, col)) for col in zip(*rows)]
     terms = {}
@@ -107,7 +107,7 @@ def _change_letters(value, rows):
             if c:
                 terms[j] = (terms[j] + sub.scale(c) if j in terms
                             else sub.scale(c))
-    return TauValue(value.model, value.k, False, terms)
+    return terms
 
 
 def obstruction_vanishes(f, k, lagrangian):

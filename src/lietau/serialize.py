@@ -4,8 +4,8 @@ for each value it prints (`tau_json`, `lagrangian_json`), and no others.
 Integers whose magnitude exceeds 53 bits are emitted as decimal strings so
 lossy consumers cannot corrupt them, and the parsers accept both forms.
 `decimal` writes those strings, and the CLI's bare integers, with no
-bound on their length: Python refuses `str` of an int longer than its
-int-to-str limit (4,300 digits by default).
+bound on their length, and `parse_int` reads them back: Python's `str`
+and `int` refuse more digits than its int-to-str limit (4,300 by default).
 
 Only `json` and `errors` load with this module: each parser and formatter
 imports the layers it reads, so a CLI call that never reads a mapping class
@@ -50,6 +50,21 @@ def decimal(n):
     return digits(n, len(pows) - 1, 0)
 
 
+def _from_decimal(s):
+    """The int that `decimal` writes as s, whatever Python's int-to-str
+    limit: the low 500 * 2^i digits are split off for the largest i that
+    leaves two parts, and each part is read the same way, so int() only
+    ever sees pieces of at most 500 digits."""
+    if s[:1] == "-":
+        return -_from_decimal(s[1:])
+    if len(s) <= _PIECE:
+        return int(s)
+    size = _PIECE
+    while 2 * size < len(s):
+        size *= 2
+    return _from_decimal(s[:-size]) * 10 ** size + _from_decimal(s[-size:])
+
+
 def _guard_ints(obj):
     if isinstance(obj, bool):
         return obj
@@ -74,9 +89,10 @@ def parse_int(v):
     if isinstance(v, str):
         try:
             return int(v)
-        except ValueError:
-            pass
-    raise PreconditionError("expected an integer, got %r" % (v,))
+        except ValueError:  # all digits, then past int's limit
+            if v.removeprefix("-").isdigit() and v.isascii():
+                return _from_decimal(v)
+    raise PreconditionError("expected an integer, got %.60r" % (v,))
 
 
 def _iterable(v, what, size=None):

@@ -251,6 +251,17 @@ MATRIX_GOLDENS = {
         '{"genus": 3, "span": [[0, 1, 0, 0, -1, 0], [0, 0, 0, 1, 0, 0], '
         '[0, 0, 0, 0, 0, 1]]}, "pair_checks": [], "rational_eigenvalues": [1], '
         '"size": 6, "symplectic": true}\n'),
+    # (x^2 - 3x + 1)^2 again, as two 2x2 blocks on (alpha1, alpha2) and
+    # (beta1, beta2).  span{alpha1, alpha2} is invariant and Lagrangian, but
+    # the search is offered only the whole rank-4 primary component, so it
+    # tests no candidate: this golden pins that miss, and changes on purpose
+    # once the search offers the component's invariant rank-2 sublattices
+    "repeated_blocks": (
+        "[[2,1,0,0],[1,1,0,0],[0,0,1,-1],[0,0,-1,2]]",
+        '{"candidates_tested": 0, "eigen_pm1": false, "invariant_lagrangian": '
+        'null, "pair_checks": [{"factor": "x**2 - 3*x + 1", "nonzero": false, '
+        '"omega_v_vbar": "0"}], "rational_eigenvalues": [], "size": 4, '
+        '"symplectic": true}\n'),
 }
 
 
@@ -670,3 +681,36 @@ def test_values_past_the_int_to_str_limit_print(capsys, argv):
         # an int above 53 bits is written as a JSON string
         assert json.loads(out) == {"ring": "free", "k": 20000, "genus": 1,
                                    "rank": expect, "torsion": []}
+
+
+def test_parse_int_reads_back_decimal_past_the_limit():
+    # decimal writes these past Python's int-to-str limit, and int() refuses
+    # to read them back; 640 digits is the least limit Python accepts
+    rng = random.Random(31)
+    values = [10**4 - 1, 10**4, 10**500, 10**1000 - 1]
+    values += [rng.randrange(10 ** (d - 1), 10 ** d) for d in (10**4, 10**5)]
+    values += [-n for n in values]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert [parse_int(decimal(n)) for n in values] == values
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_matrix_entry_past_the_limit_is_read(capsys):
+    code, out, err = run(capsys, "matrix-check", "--matrix",
+                         '[["%s"]]' % ("1" * 5000))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"size": 1, "symplectic": False}
+
+
+@pytest.mark.parametrize("entry", ["1" * 4999 + "x", "--" + "1" * 5000])
+def test_refused_long_integer_echoes_a_prefix(capsys, entry):
+    code, out, err = run(capsys, "matrix-check", "--matrix",
+                         json.dumps([[entry]]))
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "precondition-violation"
+    assert error["message"].startswith("expected an integer, got '" + entry[:40])
+    assert len(err) < 200

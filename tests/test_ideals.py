@@ -34,14 +34,14 @@ def test_handlebody_span_weight_one(model_of):
     for g in (1, 2, 3):
         m = model_of(g)
         ideal = m.handlebody_ideal()
-        assert ideal.span_rank(1) == g
+        assert ideal.level(1).rank == g
         lifts = [lift for _, lift in ideal.span(1)]
         assert lifts == [m.a(i + 1) for i in range(g)]
 
 
 def test_span_below_generator_weight_empty(model_of):
     ideal = model_of(2).symplectic_ideal()
-    assert ideal.span_rank(1) == 0
+    assert ideal.level(1).rank == 0
     assert ideal.span(1) == []
 
 
@@ -145,7 +145,6 @@ def test_ranks_and_normal_forms_build_no_lift():
     for ideal in (m.symplectic_ideal(), m.handlebody_ideal()):
         for k in range(1, 6):
             ideal.quotient_rank(k)
-            ideal.span_rank(k)
             ideal.level(k).torsion
             ideal.reduce(random_like(k, 4, rng))
         # only the generators' own lifts are words
@@ -303,7 +302,7 @@ def test_handlebody_rank_weight_six(model_of):
     assert ideal.level(6).torsion == ()
 
 
-@pytest.mark.parametrize("method", ["level", "span", "span_rank"])
+@pytest.mark.parametrize("method", ["level", "span", "quotient_rank"])
 def test_weight_below_one_rejected(model_of, method):
     ideal = model_of(2).symplectic_ideal()
     for k in (0, -1):
@@ -408,7 +407,7 @@ def test_blocks_agree_with_whole_layer(model_of):
     for ideal in (m.symplectic_ideal(), m.handlebody_ideal()):
         for k in range(1, 6):
             basis, coords, lat = whole_layer_lattice(ideal, k)
-            assert lat.rank == ideal.span_rank(k)
+            assert lat.rank == ideal.level(k).rank
             for _ in range(4):
                 e = random_like(k, 4, rng)
                 expected = LieElement(k, zip(basis, lat.reduce_mod(coords(e))))

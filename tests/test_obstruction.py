@@ -10,7 +10,7 @@ from lietau.errors import DimensionMismatchError, PreconditionError
 from lietau.intlinalg import identity_matrix, mat_mul
 from lietau.johnson import (TauValue, boundary_twist, identity_mapping_class,
                             tau, tau1)
-from lietau.lie import LieElement, bracket, substitute, x_count_split
+from lietau.lie import LieElement, bracket, substitute
 from lietau.obstruction import (_change_letters, coordinate_lagrangians,
                                 grade_decompose, obstruction_vanishes,
                                 perturbed_lagrangians, robustness_scan,
@@ -34,13 +34,26 @@ def omega_coordinates(s, g):
     return [[-v for v in dual(y)] for y in cols[g:]] + [dual(x) for x in cols[:g]]
 
 
+def changed_whole(value, lag):
+    """The value in the letters adapted to lag, changed and reduced whole:
+    the sum of its grade components."""
+    g = value.model.genus
+    rows = omega_coordinates(adapt_symplectic_basis(lag), g)
+    return TauValue(value.model, value.k, False, _change_letters(value, rows))
+
+
+def x_leaves(t, g):
+    """The tree's count of leaves among the first g letters."""
+    return sum(1 for i in t.mdeg if i < g)
+
+
 def test_pure_b_value_is_grade_zero(model_of):
     m = model_of(2)
     ell = b_tree(m, 2, 1)  # [beta_2, beta_1]
     value = TauValue(m, 2, False, {2: -ell}).renormalize()
     gd = grade_decompose(value, Lagrangian.standard(2))
     assert gd.grades() == [0]
-    assert gd.component(0) == gd.total
+    assert gd.component(0) == changed_whole(value, Lagrangian.standard(2))
 
 
 def test_alpha_tensor_factor_has_positive_grade(model_of):
@@ -66,7 +79,7 @@ def test_symplectic_class_has_grade_one(model_of):
                 for mm in range(2 * g)]
             moved = substitute(omega_elt, images)
             assert moved == omega_elt
-            assert list(x_count_split(moved, g)) == [1]
+            assert {x_leaves(t, g) for t in moved.terms} == {1}
 
 
 def test_components_sum_to_total(model_of):
@@ -81,17 +94,29 @@ def test_components_sum_to_total(model_of):
         total = TauValue(m, 3, False, {})
         for i in gd.grades():
             total = total + gd.component(i)
-            # a part of a normal form is a union of its blocks, so it is
-            # itself a nonzero normal form
+            # a component is one grade reduced on its own, so it is a
+            # nonzero normal form
             assert not gd.component(i).is_zero()
             assert gd.component(i) == gd.component(i).renormalize()
             # every component is x-count homogeneous of its grade
             for mm, e in gd.component(i).terms.items():
                 base = 1 if mm < 3 else 0
                 for t in e.terms:
-                    assert base + t.x_count(3) == i
-        assert total == gd.total
+                    assert base + x_leaves(t, 3) == i
+        assert total == changed_whole(value, lag)
         assert 0 <= min(gd.grades()) and max(gd.grades()) <= 3 + 1
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_every_symplectic_block_has_one_grade(model_of, g):
+    # grade_decompose reduces each grade on its own, which is exact because
+    # no block of the ideal mixes counts of the first g letters, though
+    # blocks mix multidegrees from weight 2 on
+    ideal = model_of(g).symplectic_ideal()
+    for k in range(1, 6):
+        blocks = ideal.level(k).blocks.values()
+        assert all(len({x_leaves(t, g) for t in trees}) == 1 for trees in blocks)
+        assert any(len({t.mdeg for t in trees}) > 1 for trees in blocks) == (k > 1)
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
@@ -105,9 +130,10 @@ def test_letter_change_is_sp_equivariant(g3_braids, i):
     for f, k in ((d.fwd, 3), (commutator_braid(d, b23).fwd, 4)):
         value = tau(f, k)
         moved = tau(t.fwd.compose(f).compose(t.bwd), k)
-        assert moved == _change_letters(value, forward)
+        model = value.model
+        assert moved == TauValue(model, k, False, _change_letters(value, forward))
         assert moved != value
-        assert moved != _change_letters(value, back)
+        assert moved != TauValue(model, k, False, _change_letters(value, back))
 
 
 def test_obstruction_identity_vanishes_everywhere(model_of):
