@@ -55,10 +55,11 @@ def load_config(path=None, overrides=None):
 
 
 def _decode(text):
-    """`json.loads`, with nesting too deep for the decoder's recursion
-    reported as bad JSON."""
+    """`json.loads`, with integer literals of any length read by
+    `serialize.parse_int`, as a decimal string is, and nesting too deep for
+    the decoder's recursion reported as bad JSON."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=serialize.parse_int)
     except RecursionError:
         raise json.JSONDecodeError("nesting too deep", text, 0) from None
 

@@ -9,6 +9,11 @@ compared lexicographically with leaves ordered by the alphabet: a tree's
 basic-commutator family, and fixing this one makes every basis and every
 rewriting deterministic.  Distinct basic commutators of one weight have
 distinct foliage, so the order is total on them.
+
+One constructor, `_node`, makes every node, under `HallTree._lock`:
+`make_node` calls it on a registry miss, and `hall_basis` interns a whole
+weight in one locked pass, after building its lower bases (the lock is not
+reentrant), looking each [u, v] up and making the missing ones.
 """
 
 import threading
@@ -58,30 +63,33 @@ class HallTree:
 
     @staticmethod
     def make_node(left, right):
-        reg = HallTree._registry
-        t = reg.get((left, right))
+        t = HallTree._registry.get((left, right))
         if t is not None:
             return t
         with HallTree._lock:
-            t = reg.get((left, right))
-            if t is None:
-                t = object.__new__(HallTree)
-                w = left.weight + right.weight
-                mdeg = tuple(sorted(left.mdeg + right.mdeg))
-                _set(t, "leaf", None)
-                _set(t, "left", left)
-                _set(t, "right", right)
-                _set(t, "weight", w)
-                _set(t, "key", (w,) + left.key[1:] + right.key[1:])
-                _set(t, "mdeg", HallTree._mdegs.setdefault(mdeg, mdeg))
-                reg[left, right] = t
-        return t
+            return HallTree._registry.get((left, right)) or _node(left, right)
 
     def is_leaf(self):
         return self.leaf is not None
 
     def __repr__(self):
         return tree_to_str(self)
+
+
+def _node(left, right):
+    """The one node constructor: the new tree [left, right], registered.
+    The caller holds `HallTree._lock` and found no tree under the pair."""
+    t = object.__new__(HallTree)
+    w = left.weight + right.weight
+    mdeg = tuple(sorted(left.mdeg + right.mdeg))
+    _set(t, "leaf", None)
+    _set(t, "left", left)
+    _set(t, "right", right)
+    _set(t, "weight", w)
+    _set(t, "key", (w,) + left.key[1:] + right.key[1:])
+    _set(t, "mdeg", HallTree._mdegs.setdefault(mdeg, mdeg))
+    HallTree._registry[left, right] = t
+    return t
 
 
 def is_basic(t):
@@ -148,16 +156,20 @@ def hall_basis(k, n):
         raise ValueError("alphabet size must be >= 1")
     if k == 1:
         return tuple(HallTree.make_leaf(i) for i in range(n))
+    # the lower bases first: the lock below is not reentrant
+    parts = [(hall_basis(w1, n), hall_basis(k - w1, n)) for w1 in range(1, k)]
+    reg = HallTree._registry
     out = []
-    for w1 in range(1, k):
-        lower = hall_basis(k - w1, n)
-        keys = [v.key for v in lower]
-        for u in hall_basis(w1, n):
-            # the v with [u, v] basic are one run of the sorted lower basis:
-            # u.right.key <= v.key < u.key, or every v < u for a leaf u
-            lo = 0 if u.leaf is not None else bisect_left(keys, u.right.key)
-            for v in lower[lo:bisect_left(keys, u.key)]:
-                out.append(HallTree.make_node(u, v))
+    with HallTree._lock:
+        for upper, lower in parts:
+            keys = [v.key for v in lower]
+            for u in upper:
+                # the v with [u, v] basic are one run of the sorted lower
+                # basis: u.right.key <= v.key < u.key, or every v < u for a
+                # leaf u
+                lo = 0 if u.leaf is not None else bisect_left(keys, u.right.key)
+                for v in lower[lo:bisect_left(keys, u.key)]:
+                    out.append(reg.get((u, v)) or _node(u, v))
     out.sort(key=lambda t: t.key)
     return tuple(out)
 
@@ -185,7 +197,7 @@ def tree_from_str(s, alphabet):
         obj = json.loads(re.sub(r"[^\[\],]+", lambda m: json.dumps(m.group()),
                                 s.replace(" ", "")))
     except json.JSONDecodeError:
-        raise PreconditionError("not a bracketed tree: %r" % (s,)) from None
+        raise PreconditionError("not a bracketed tree: %.60r" % (s,)) from None
     return tree_from_json(obj, alphabet)
 
 
@@ -200,7 +212,7 @@ def tree_from_json(obj, alphabet=None):
     indices of the alphabet (any index >= 0 if none is given)."""
     if isinstance(obj, list):
         if len(obj) != 2:
-            raise PreconditionError("not a two-child tree node: %r" % (obj,))
+            raise PreconditionError("not a two-child tree node: %.60r" % (obj,))
         return HallTree.make_node(tree_from_json(obj[0], alphabet),
                                   tree_from_json(obj[1], alphabet))
     if isinstance(obj, str):
@@ -209,7 +221,7 @@ def tree_from_json(obj, alphabet=None):
         n = obj + 1 if alphabet is None else len(alphabet)
         i = obj if 0 <= obj < n else None
     else:
-        raise PreconditionError("not a tree leaf name or index: %r" % (obj,))
+        raise PreconditionError("not a tree leaf name or index: %.60r" % (obj,))
     if i is None:
-        raise UnknownGeneratorError("unknown generator %r" % (obj,))
+        raise UnknownGeneratorError("unknown generator %.60r" % (obj,))
     return HallTree.make_leaf(i)

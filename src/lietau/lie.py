@@ -11,7 +11,7 @@ and recurse.  Each recursive call strictly decreases the well-founded measure
 (total weight, weight of the smaller argument, its rank within that weight),
 so the rewriting terminates.  Only the pairs that need the Jacobi rewrite are
 memoized, each as one flat tuple ``(t1, c1, t2, c2, ...)`` of its terms: a
-pair in Hall order is the one-term tuple of its interned node, and a
+pair in Hall order adds its coefficient straight at its interned node, and a
 reversed pair is its flip with the sign folded into the coefficient.  One
 routine, `_bracket_into`, adds ``c * [u, v]`` into an accumulator and drops
 zeros as they occur; `bracket`, the ideal builds, `magnus` and the memo's
@@ -124,24 +124,32 @@ class LieElement:
 
 _bracket_memo = {}
 _bracket_lock = threading.Lock()
+_make_node = HallTree.make_node
 
 
 def _bracket_into(acc, u, v, c):
     """acc += c * [u, v] for basic commutators u, v and a nonzero int c.
 
     acc maps trees to nonzero ints; a coefficient that reaches zero is
-    dropped.  This is the one reader of the flip, the Hall-order test and
-    the memo."""
+    dropped.  A pair in Hall order adds c at its interned node; only a
+    rewritten pair walks a memo entry.  This is the one reader of the flip,
+    and with `_ordered`, which reads a rewrite's two sub-brackets, the one
+    reader of the Hall-order test and the memo."""
     if u is v:
         return
     if u.key < v.key:
         u, v, c = v, u, -c
     if u.leaf is not None or u.right.key <= v.key:
-        terms = (HallTree.make_node(u, v), 1)
-    else:
-        terms = _bracket_memo.get((u, v))
-        if terms is None:
-            terms = _rewrite(u, v)
+        t = _make_node(u, v)
+        val = acc.get(t, 0) + c
+        if val:
+            acc[t] = val
+        else:
+            del acc[t]
+        return
+    terms = _bracket_memo.get((u, v))
+    if terms is None:
+        terms = _rewrite(u, v)
     # each loop step takes a tree, and next(it) its coefficient
     it = iter(terms)
     for t in it:
@@ -152,19 +160,30 @@ def _bracket_into(acc, u, v, c):
             del acc[t]
 
 
+def _ordered(u, v):
+    """The flat terms of [u, v] for basic commutators u > v: the one-term
+    tuple of its interned node for a pair in Hall order, else its memo
+    entry, rewritten on a miss."""
+    if u.leaf is not None or u.right.key <= v.key:
+        return (_make_node(u, v), 1)
+    terms = _bracket_memo.get((u, v))
+    return _rewrite(u, v) if terms is None else terms
+
+
 def _rewrite(u, v):
     """The memo entry of [u, v] for u = [v1, v2] with v2 > v, where u > v:
-    [[v1, v], v2] + [v1, [v2, v]].  [v1, v] and [v2, v] are built first,
-    then each of their terms is bracketed into the entry, all through
-    `_bracket_into`, so zeros drop as they occur."""
+    [[v1, v], v2] + [v1, [v2, v]].  The terms of [v1, v] and [v2, v] are
+    read first (v1 > v2 > v, so neither flips), then each is bracketed
+    into the entry through `_bracket_into`, so zeros drop as they occur."""
     v1, v2 = u.left, u.right
-    a, b, res = {}, {}, {}
-    _bracket_into(a, v1, v, 1)
-    _bracket_into(b, v2, v, 1)
-    for h, c in a.items():
-        _bracket_into(res, h, v2, c)
-    for h, c in b.items():
-        _bracket_into(res, v1, h, c)
+    a, b = _ordered(v1, v), _ordered(v2, v)
+    res = {}
+    it = iter(a)
+    for h in it:
+        _bracket_into(res, h, v2, next(it))
+    it = iter(b)
+    for h in it:
+        _bracket_into(res, v1, h, next(it))
     terms = tuple(chain.from_iterable(res.items()))
     with _bracket_lock:
         _bracket_memo[u, v] = terms

@@ -31,8 +31,6 @@ of the first g letters.
 """
 
 from functools import lru_cache
-from itertools import product
-from math import prod
 
 from .errors import DimensionMismatchError, PreconditionError
 from .hall import HallTree
@@ -133,22 +131,28 @@ def _tensor_expansion(value):
 
 def _image_vanishes(expansion, lagrangian):
     """True iff pi: H -> H/L, letter l -> sum_i dual(x_i)[l] b_i, applied to
-    every slot kills the expansion.  A monomial maps to the sum, over every
-    choice of one term from each of its letters' images, of the product; one
-    with a letter in L, whose image is empty, maps to zero and is skipped up
-    front."""
+    every slot kills the expansion.  A monomial maps letter by letter: each
+    letter's image is a list of (index, coefficient) pairs, and every
+    partial image is extended by every pair of the next letter; a letter in
+    L, whose image is empty, ends the monomial, which maps to zero."""
     covectors = [dual(x) for x in lagrangian.rows]
-    index, coeff = [], []
-    for l in range(2 * lagrangian.genus):
-        index.append([i for i, cov in enumerate(covectors) if cov[l]])
-        coeff.append([cov[l] for cov in covectors if cov[l]])
-    dead = {l for l, ii in enumerate(index) if not ii}
+    images = [[(i, cov[l]) for i, cov in enumerate(covectors) if cov[l]]
+              for l in range(2 * lagrangian.genus)]
     image = {}
     for key, c in expansion.items():
-        if dead.isdisjoint(key):
-            for new, ds in zip(product(*map(index.__getitem__, key)),
-                               product(*map(coeff.__getitem__, key))):
-                image[new] = image.get(new, 0) + c * prod(ds)
+        partial = [((), c)]
+        for l in key:
+            pairs = images[l]
+            if not pairs:
+                break
+            grown = []      # plain loops: a comprehension is a call on 3.11
+            for m, a in partial:
+                for i, d in pairs:
+                    grown.append((m + (i,), a * d))
+            partial = grown
+        else:
+            for m, a in partial:
+                image[m] = image.get(m, 0) + a
     return not any(image.values())
 
 

@@ -98,9 +98,9 @@ def parse_int(v):
 def _iterable(v, what, size=None):
     """v, refused unless it is a JSON array, of `size` items if one is given."""
     if not isinstance(v, list):
-        raise PreconditionError("%s must be an array, got %r" % (what, v))
+        raise PreconditionError("%s must be an array, got %.60r" % (what, v))
     if size is not None and len(v) != size:
-        raise PreconditionError("%s must have %d items, got %r" % (what, size, v))
+        raise PreconditionError("%s must have %d items, got %.60r" % (what, size, v))
     return v
 
 
@@ -113,7 +113,7 @@ def parse_word(alphabet, obj):
         return word_from_pairs(alphabet, [
             (n, parse_int(e))
             for n, e in (_iterable(p, "a word pair", 2) for p in obj)])
-    raise PreconditionError("cannot parse a word from %r" % (obj,))
+    raise PreconditionError("cannot parse a word from %.60r" % (obj,))
 
 
 def parse_matrix(obj):
@@ -157,7 +157,7 @@ def parse_mapping_class(obj):
     for name, wobj in raw.items():
         if name not in model.alphabet.index:
             raise UnknownGeneratorError(
-                "unknown generator %r in images" % (name,))
+                "unknown generator %.60r in images" % (name,))
         images[name] = parse_word(model.alphabet, wobj)
     endo = GroupEndomorphism.from_dict(model.alphabet, images)
     return MappingClassData(model, endo)

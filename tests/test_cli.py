@@ -699,10 +699,12 @@ def test_parse_int_reads_back_decimal_past_the_limit():
 
 
 def test_matrix_entry_past_the_limit_is_read(capsys):
-    code, out, err = run(capsys, "matrix-check", "--matrix",
-                         '[["%s"]]' % ("1" * 5000))
-    assert code == 0 and err == ""
-    assert json.loads(out) == {"size": 1, "symplectic": False}
+    # as a decimal string, and as a bare JSON integer literal
+    for entry in ('"%s"' % ("1" * 5000), "1" * 5000, "-" + "1" * 5000):
+        code, out, err = run(capsys, "matrix-check", "--matrix",
+                             "[[%s]]" % entry)
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"size": 1, "symplectic": False}
 
 
 @pytest.mark.parametrize("entry", ["1" * 4999 + "x", "--" + "1" * 5000])
@@ -713,4 +715,33 @@ def test_refused_long_integer_echoes_a_prefix(capsys, entry):
     error = json.loads(err)
     assert error["error"] == "precondition-violation"
     assert error["message"].startswith("expected an integer, got '" + entry[:40])
+    assert len(err) < 200
+
+
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("map_json, lagrangian, code, message", [
+    ({"genus": 2, "images": {}}, {"genus": 2, "span": _LONG},
+     "precondition-violation", '"span" must be an array, got \'xxx'),
+    ({"genus": 2, "images": {}}, {"genus": 2, "span": [_LONG]},
+     "precondition-violation", "a span row must be an array, got 'xxx"),
+    ({"genus": 2, "images": {"a1": {_LONG: 1}}}, None,
+     "precondition-violation", "cannot parse a word from {'xxx"),
+    ({"genus": 2, "images": {"a1": [["a1", 1, _LONG]]}}, None,
+     "precondition-violation", "a word pair must have 2 items, got ['a1', 1, 'xxx"),
+    ({"genus": 2, "images": {_LONG: "a1"}}, None,
+     "unknown-generator", "unknown generator 'xxx"),
+], ids=["span", "span-row", "word", "word-pair", "image-name"])
+def test_refusal_of_long_input_echoes_a_prefix(capsys, map_json, lagrangian,
+                                               code, message):
+    # the refusal names its input by a prefix, as parse_int's does, and
+    # keeps the error code it gave when it echoed the input whole
+    argv = ["obstruct", "--k", "2", "--map", json.dumps(map_json),
+            "--lagrangian", json.dumps(lagrangian or {"genus": 2, "span": []})]
+    got, out, err = run(capsys, *argv)
+    assert got == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == code
+    assert error["message"].startswith(message)
     assert len(err) < 200

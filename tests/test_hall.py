@@ -156,6 +156,18 @@ def test_tree_from_json_refuses_malformed_trees():
     for obj in (["zz", "b1"], [-1, "b1"], [7, "b1"]):
         with pytest.raises(UnknownGeneratorError):
             tree_from_json(obj, ab)
+    # a refusal names its input by a 60-character prefix
+    long = "x" * 5000
+    for obj, error, message in (
+            ([long, "b1"], UnknownGeneratorError, "unknown generator 'xxx"),
+            (["a1", "b1", long], PreconditionError,
+             "not a two-child tree node: ['a1', 'b1', 'xxx"),
+            ([{long: 1}, "b1"], PreconditionError,
+             "not a tree leaf name or index: {'xxx")):
+        with pytest.raises(error) as info:
+            tree_from_json(obj, ab)
+        assert str(info.value).startswith(message)
+        assert len(str(info.value)) < 100
     # leaves may be given by index
     assert tree_from_json([3, "b1"], ab) is tree_from_json(["b2", "b1"], ab)
     assert tree_from_json([["b2", 0], 2], ab) is tree_from_str(
@@ -179,6 +191,10 @@ def test_tree_from_str_refuses_malformed_strings():
             tree_from_str(s, ab)
     with pytest.raises(UnknownGeneratorError):
         tree_from_str("[x,q]", ab)
+    with pytest.raises(PreconditionError) as info:
+        tree_from_str("[" + "x" * 5000, ab)
+    assert str(info.value).startswith("not a bracketed tree: '[xxx")
+    assert len(str(info.value)) < 100
 
 
 def test_tree_from_str_reads_names_json_would_quote():
@@ -285,6 +301,50 @@ def test_interning_from_threads_is_identical():
     shared = {}
     for t in made[0]:
         assert shared.setdefault(t.mdeg, t.mdeg) is t.mdeg
+
+
+def test_basis_interning_races_make_node():
+    # no other test builds hall_basis(4, 7), and few of its nodes, so
+    # hall_basis, in one locked pass, and three threads calling make_node
+    # on the same pairs race to make nearly every node of the basis
+    k, n = 4, 7
+    lower = {w: hall_basis(w, n) for w in range(1, k)}
+    pairs = [(u, v) for w in range(1, k) for u in lower[w] for v in lower[k - w]
+             if u.key > v.key and (u.is_leaf() or u.right.key <= v.key)]
+    assert len(pairs) == witt(k, n)
+    orders = [pairs, pairs[::-1], random.Random(3).sample(pairs, len(pairs))]
+    start = threading.Barrier(4)
+    made = [None] * 4
+
+    def build(i):
+        start.wait()
+        if i == 0:
+            made[0] = hall_basis(k, n)
+        else:
+            made[i] = {p: HallTree.make_node(*p) for p in orders[i - 1]}
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    basis = made[0]
+    assert len(basis) == len(pairs)
+    # one tree per pair, whoever made it
+    assert all(made[i][p] is made[1][p] for i in (2, 3) for p in pairs)
+    assert {(t.left, t.right): t for t in basis} == made[1]
+    for t in basis:
+        assert HallTree.make_node(t.left, t.right) is t
+        assert t.weight == k and t.leaf is None
+        assert t.key == (k,) + t.left.key[1:] + t.right.key[1:]
+        assert t.mdeg == tuple(sorted(t.left.mdeg + t.right.mdeg))
+        assert HallTree._mdegs[t.mdeg] is t.mdeg
 
 
 def test_witt_validates_input():

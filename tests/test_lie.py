@@ -94,7 +94,7 @@ def test_bracket_into_adds_the_associative_commutator():
     # a term that cancels exactly must leave the accumulator
     rng = random.Random(20261019)
     routes = set()
-    cancelled = 0
+    cancelled = set()           # the routes whose term cancelled exactly
     for n in (3, 4):
         for _ in range(120):
             wu = rng.randint(1, 5)
@@ -102,14 +102,16 @@ def test_bracket_into_adds_the_associative_commutator():
             v = rng.choice(hall_basis(rng.randint(1, 6 - wu), n))
             w = u.weight + v.weight
             for a, b in ((u, v), (v, u)):
+                hi, lo = (a, b) if a.key > b.key else (b, a)
                 if a is b:
-                    routes.add("equal")
+                    route = "equal"
+                elif not (hi.is_leaf() or hi.right.key <= lo.key):
+                    route = "rewritten"
                 elif a.key < b.key:
-                    routes.add("reversed")
-                elif a.is_leaf() or a.right.key <= b.key:
-                    routes.add("direct")
+                    route = "reversed"
                 else:
-                    routes.add("rewritten")
+                    route = "direct"
+                routes.add(route)
                 c = rng.choice((1, -1, 2, -3, 5))
                 want = _commutator(expand_associative(a), expand_associative(b))
                 fresh = {}
@@ -127,11 +129,22 @@ def test_bracket_into_adds_the_associative_commutator():
                 _bracket_into(acc, a, b, c)
                 assert 0 not in acc.values()
                 assert not any(t in acc for t in gone)
-                cancelled += len(gone)
+                if gone:
+                    cancelled.add(route)
                 assert expand(LieElement(w, acc)) == _plus(
                     expand(LieElement(w, start)), want, c)
     assert routes >= {"direct", "reversed", "rewritten"}
-    assert cancelled
+    assert cancelled >= {"direct", "reversed", "rewritten"}
+    # a Hall-ordered pair adds at its node: an entry of -c there cancels
+    # exactly, and the other entries stay as they were
+    x, y, z = (HallTree.make_leaf(i) for i in range(3))
+    yx, zx = HallTree.make_node(y, x), HallTree.make_node(z, x)
+    yxz = HallTree.make_node(yx, z)
+    for a, b, c, t in ((y, x, 3, yx), (x, y, 3, yx), (yx, z, -2, yxz)):
+        added = c if a.key > b.key else -c
+        acc = {t: -added, zx: 7}
+        _bracket_into(acc, a, b, c)
+        assert acc == {zx: 7}
 
 
 def test_memo_holds_only_rewritten_pairs(model_of):
